@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lbtrust::datalog::Symbol;
 use lbtrust::obs::Report;
-use lbtrust::{AuthScheme, PartitionStrategy, Principal, SyncPolicy, System};
+use lbtrust::{AuthScheme, Principal, SyncPolicy, System};
 use lbtrust_bench::persist_line;
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -138,26 +138,19 @@ const SKEW_SPOKES: usize = 31;
 const SKEW_CHAIN: usize = 16;
 /// Iterations per skewed pass.
 const SKEW_ROUNDS: usize = 8;
-/// Worker count for the skew comparison.
+/// Worker count for the skewed run.
 const SKEW_SHARDS: usize = 8;
 
 /// A deliberately skewed deployment: the hub runs a transitive closure
 /// over each iteration's fresh chain and exports the reachable set to
 /// all 31 spokes; each spoke holds one import rule. Roughly half the
-/// per-step evaluation cost lands on one principal — the shape where a
-/// contiguous slice pins the whole step on the hub's worker while the
-/// other seven idle, and cost-aware LPT plus stealing spreads the
-/// remainder.
-fn skewed_hub_system(
-    shards: usize,
-    partition: PartitionStrategy,
-    stealing: bool,
-) -> (System, Principal) {
+/// per-step evaluation cost lands on one principal — the shape where
+/// cost-aware LPT gives the hub a worker of its own and stealing
+/// spreads the remainder.
+fn skewed_hub_system(shards: usize) -> (System, Principal) {
     let mut sys = System::new()
         .with_rsa_bits(512)
         .with_shards(shards)
-        .with_partition(partition)
-        .with_stealing(stealing)
         .with_sync_policy(SyncPolicy::Batched);
     let hub = sys.add_principal("hub", "n0").unwrap();
     sys.set_auth_scheme(hub, AuthScheme::Plaintext).unwrap();
@@ -311,35 +304,23 @@ fn sharded_quiescence(c: &mut Criterion) {
         timing_off.as_secs_f64() * 1e3,
     ));
 
-    // Skewed hub-and-spoke: the contiguous-slice no-stealing engine
-    // (the old sharding discipline) against the pooled engine with
-    // cost-aware LPT partitioning and work stealing, both at 8
-    // workers. The speedup and imbalance bars only mean anything when
-    // the host actually has a core per worker, so on smaller hosts the
-    // assertions are skipped — loudly, in the summary artifact.
+    // Skewed hub-and-spoke at 8 workers: the pool's imbalance and
+    // steal telemetry. The imbalance bar only means anything when the
+    // host actually has a core per worker, so on smaller hosts the
+    // assertion is skipped — loudly, in the summary artifact.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let skew_pass = |partition: PartitionStrategy, stealing: bool, base: usize| {
-        let (mut sys, hub) = skewed_hub_system(SKEW_SHARDS, partition, stealing);
-        let started = Instant::now();
-        for r in 0..SKEW_ROUNDS {
-            skew_iteration(&mut sys, hub, base + r);
-        }
-        (started.elapsed(), sys)
-    };
-    let (contiguous_time, _) = skew_pass(PartitionStrategy::Contiguous, false, 30_000);
-    let (pooled_time, pooled_sys) = skew_pass(PartitionStrategy::CostAware, true, 40_000);
-    let skew_speedup = contiguous_time.as_secs_f64() / pooled_time.as_secs_f64().max(1e-12);
-    let snap = pooled_sys.obs_registry().snapshot();
+    let (mut skewed, hub) = skewed_hub_system(SKEW_SHARDS);
+    let started = Instant::now();
+    for r in 0..SKEW_ROUNDS {
+        skew_iteration(&mut skewed, hub, 40_000 + r);
+    }
+    let skew_time = started.elapsed();
+    let snap = skewed.obs_registry().snapshot();
     let imbalance_ratio = snap.gauge("quiesce.imbalance_ratio").unwrap_or(0) as f64 / 1000.0;
     let steals = snap.counter("pool.steals").unwrap_or(0);
     let assertions = if cores >= SKEW_SHARDS {
-        assert!(
-            skew_speedup >= 1.5,
-            "pooled+stealing must beat the contiguous-slice baseline by >=1.5x \
-             on a skewed workload with a core per worker (got {skew_speedup:.2}x)"
-        );
         assert!(
             imbalance_ratio < 1.5,
             "cost-aware LPT + stealing must keep max/mean worker busy time \
@@ -350,12 +331,10 @@ fn sharded_quiescence(c: &mut Criterion) {
         format!("SKIPPED (cores={cores} < shards={SKEW_SHARDS})")
     };
     persist_line(&format!(
-        "parallel-skewed hub+{SKEW_SPOKES} spokes shards={SKEW_SHARDS}: contiguous \
-         {:.3} ms/iter vs pooled {:.3} ms/iter ({skew_speedup:.2}x), \
-         imbalance_ratio {imbalance_ratio:.2}, steals {steals}; \
-         speedup/imbalance assertions {assertions}",
-        contiguous_time.as_secs_f64() * 1e3 / SKEW_ROUNDS as f64,
-        pooled_time.as_secs_f64() * 1e3 / SKEW_ROUNDS as f64,
+        "parallel-skewed hub+{SKEW_SPOKES} spokes shards={SKEW_SHARDS}: \
+         {:.3} ms/iter, imbalance_ratio {imbalance_ratio:.2}, steals {steals}; \
+         imbalance assertion {assertions}",
+        skew_time.as_secs_f64() * 1e3 / SKEW_ROUNDS as f64,
     ));
 
     // The perf trajectory: headline speedups plus the phase breakdown
@@ -372,7 +351,6 @@ fn sharded_quiescence(c: &mut Criterion) {
         )
         .headline("obs_overhead_pct", overhead_pct)
         .headline("obs_noise_pct", noise_pct)
-        .headline("skew_speedup_pooled_vs_contiguous", skew_speedup)
         .headline("imbalance_ratio", imbalance_ratio)
         .headline("steals", steals as f64)
         .phases_from(timed.obs_registry())

@@ -18,10 +18,12 @@
 //!   `#![forbid(unsafe_code)]`: no lifetime erasure, no scoped-thread
 //!   tricks.
 //! * **Per-principal granularity + stealing.** Each batch is split
-//!   into per-worker queues of `(registration index, task)` pairs. A
-//!   worker drains its own queue front-to-back; an idle worker steals
-//!   from the *back* of the most-loaded queue, so a skewed topology's
-//!   backlog spreads instead of serializing on one worker.
+//!   into per-worker queues of `(registration index, task)` pairs by
+//!   greedy LPT over deterministic per-principal costs. A worker
+//!   drains its own queue front-to-back; an idle worker steals from
+//!   the *back* of the most-loaded queue, so a skewed topology's
+//!   backlog spreads instead of serializing on one worker. The policy
+//!   is fixed; it has no knobs.
 //! * **Determinism by construction.** Results are keyed by the
 //!   submission index and handed back in index order; every merge
 //!   point in the `System` is sequential in registration order. Which
@@ -36,8 +38,9 @@
 //!   thread once in-flight tasks drain. The worker threads themselves
 //!   survive and the pool stays usable.
 //!
-//! `shards = 1` never constructs a pool at all — the `System` keeps
-//! its inline serial paths, byte-for-byte the serial engine.
+//! `shards = 1` constructs no pool: the `System` runs the same task
+//! list inline, in index order, through the same task function and the
+//! same merge.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -46,66 +49,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// How [`crate::System::run_to_quiescence`] assigns per-principal
-/// tasks to pool workers (see [`crate::System::with_partition`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Contiguous registration-order slices, sized within one task of
-    /// each other — the original sharded engine's layout. With
-    /// stealing disabled this reproduces the pre-pool behaviour and
-    /// serves as the ablation baseline.
-    Contiguous,
-    /// Greedy LPT (longest-processing-time-first) assignment over
-    /// per-principal cost estimates recomputed between steps, so a hub
-    /// whose fixpoint dominated the last step no longer shares a
-    /// worker with its busiest neighbours (see [`CostModel`]).
-    #[default]
-    CostAware,
-}
-
-/// Where the per-principal cost estimates driving
-/// [`PartitionStrategy::CostAware`] come from (see
-/// [`crate::System::with_cost_model`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CostModel {
-    /// Deterministic counters from the last evaluation: rules fired
-    /// plus facts derived. Identical across runs and shard counts, so
-    /// the partition itself is reproducible.
-    #[default]
-    Deterministic,
-    /// Wall-clock nanoseconds of the last evaluation. Often a sharper
-    /// signal, but it varies run to run — opt-in only, and the
-    /// partition it produces is *not* reproducible (the quiescent
-    /// state still is).
-    WallTime,
-}
-
 /// Caps a requested worker count to the number of work items (queueing
 /// to more workers than tasks buys nothing) and to at least one.
 pub(crate) fn clamp_shards(requested: usize, items: usize) -> usize {
     requested.max(1).min(items.max(1))
-}
-
-/// Splits `len` items into `parts` contiguous chunk sizes differing by
-/// at most one: the first `len % parts` chunks take the extra item.
-/// (The old `chunk_len` ceiling-division sizing skewed the remainder
-/// onto the final chunk — `chunk_len(10, 4)` gave 3/3/3/1.)
-pub(crate) fn chunk_sizes(len: usize, parts: usize) -> Vec<usize> {
-    let parts = parts.max(1);
-    let base = len / parts;
-    let extra = len % parts;
-    (0..parts).map(|i| base + usize::from(i < extra)).collect()
-}
-
-/// Splits `items` into `parts` contiguous per-worker queues of
-/// `(index, item)` pairs, balanced to within one item.
-pub(crate) fn split_contiguous<T>(items: Vec<T>, parts: usize) -> Vec<VecDeque<(usize, T)>> {
-    let sizes = chunk_sizes(items.len(), parts);
-    let mut iter = items.into_iter().enumerate();
-    sizes
-        .into_iter()
-        .map(|n| iter.by_ref().take(n).collect())
-        .collect()
 }
 
 /// Greedy LPT assignment: items sorted by descending cost (ties by
@@ -174,7 +121,6 @@ pub(crate) struct BatchReport<R> {
 /// and never contends with task execution itself.
 struct PoolState<T, R> {
     queues: Vec<VecDeque<(usize, T)>>,
-    stealing: bool,
     batch_active: bool,
     /// Queued tasks not yet claimed.
     remaining: usize,
@@ -217,7 +163,6 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
         let core = Arc::new(PoolCore {
             state: Mutex::new(PoolState {
                 queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                stealing: false,
                 batch_active: false,
                 remaining: 0,
                 running: 0,
@@ -270,11 +215,7 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
     /// index order. Re-raises the first task panic on this thread
     /// (dropping the rest of the batch); the pool survives and the
     /// next batch runs normally.
-    pub(crate) fn run_batch(
-        &self,
-        mut queues: Vec<VecDeque<(usize, T)>>,
-        stealing: bool,
-    ) -> BatchReport<R> {
+    pub(crate) fn run_batch(&self, mut queues: Vec<VecDeque<(usize, T)>>) -> BatchReport<R> {
         let workers = self.workers();
         let total: usize = queues.iter().map(VecDeque::len).sum();
         if total == 0 {
@@ -297,7 +238,6 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
         let mut st = lock(&self.core.state);
         debug_assert!(!st.batch_active, "run_batch while a batch is active");
         st.queues = queues;
-        st.stealing = stealing;
         st.batch_active = true;
         st.remaining = total;
         st.running = 0;
@@ -349,9 +289,8 @@ impl<T, R> Drop for WorkerPool<T, R> {
     }
 }
 
-/// Claims the next task for worker `me`: own queue front first, then —
-/// with stealing on — the back of the most-loaded other queue (lowest
-/// index on ties).
+/// Claims the next task for worker `me`: own queue front first, then
+/// the back of the most-loaded other queue (lowest index on ties).
 fn claim<T, R>(st: &mut PoolState<T, R>, me: usize) -> Option<(usize, T, bool)> {
     if !st.batch_active || st.remaining == 0 {
         return None;
@@ -359,9 +298,6 @@ fn claim<T, R>(st: &mut PoolState<T, R>, me: usize) -> Option<(usize, T, bool)> 
     if let Some((index, task)) = st.queues[me].pop_front() {
         st.remaining -= 1;
         return Some((index, task, false));
-    }
-    if !st.stealing {
-        return None;
     }
     let mut victim: Option<usize> = None;
     for (w, q) in st.queues.iter().enumerate() {
@@ -438,32 +374,23 @@ mod tests {
         assert_eq!(clamp_shards(4, 0), 1);
     }
 
-    #[test]
-    fn chunk_sizes_differ_by_at_most_one() {
-        // The old `chunk_len(10, 4) = 3` sizing produced 3/3/3/1.
-        assert_eq!(chunk_sizes(10, 4), vec![3, 3, 2, 2]);
-        assert_eq!(chunk_sizes(8, 4), vec![2, 2, 2, 2]);
-        assert_eq!(chunk_sizes(0, 4), vec![0, 0, 0, 0]);
-        assert_eq!(chunk_sizes(5, 1), vec![5]);
-        assert_eq!(chunk_sizes(3, 8), vec![1, 1, 1, 0, 0, 0, 0, 0]);
-        for (len, parts) in [(10, 4), (17, 5), (1, 3), (100, 7)] {
-            let sizes = chunk_sizes(len, parts);
-            assert_eq!(sizes.iter().sum::<usize>(), len);
-            let max = *sizes.iter().max().unwrap();
-            let min = *sizes.iter().min().unwrap();
-            assert!(
-                max - min <= 1,
-                "chunk_sizes({len},{parts}) skewed: {sizes:?}"
-            );
-        }
+    /// Splits `items` by LPT over unit costs: round-robin, so queue
+    /// lengths differ by at most one.
+    fn unit_split<T>(items: Vec<T>, parts: usize) -> Vec<VecDeque<(usize, T)>> {
+        let costs = vec![1; items.len()];
+        split_lpt(items, &costs, parts)
     }
 
     #[test]
-    fn contiguous_split_keeps_order_and_balance() {
-        let queues = split_contiguous((0..10).collect::<Vec<_>>(), 4);
-        assert_eq!(queues.len(), 4);
-        assert_eq!(queues[0], VecDeque::from(vec![(0, 0), (1, 1), (2, 2)]));
-        assert_eq!(queues[3], VecDeque::from(vec![(8, 8), (9, 9)]));
+    fn unit_cost_split_balances_and_keeps_order() {
+        let queues = unit_split((0..10).collect::<Vec<_>>(), 4);
+        let lens: Vec<usize> = queues.iter().map(VecDeque::len).collect();
+        assert_eq!(lens, vec![3, 3, 2, 2]);
+        assert_eq!(queues[0], VecDeque::from(vec![(0, 0), (4, 4), (8, 8)]));
+        for q in &queues {
+            assert!(q.iter().all(|&(i, item)| i == item));
+            assert!(q.iter().zip(q.iter().skip(1)).all(|(a, b)| a.0 < b.0));
+        }
     }
 
     #[test]
@@ -492,15 +419,15 @@ mod tests {
     #[test]
     fn pool_returns_results_in_index_order() {
         let pool: WorkerPool<u64, u64> = WorkerPool::new(3, Arc::new(|x| x * 2));
-        let queues = split_contiguous((0..10u64).collect::<Vec<_>>(), 3);
-        let report = pool.run_batch(queues, true);
+        let queues = unit_split((0..10u64).collect::<Vec<_>>(), 3);
+        let report = pool.run_batch(queues);
         assert_eq!(report.tasks, 10);
         assert_eq!(
             report.results,
             (0..10u64).map(|x| x * 2).collect::<Vec<_>>()
         );
         // An empty batch is a no-op.
-        let report = pool.run_batch(Vec::new(), true);
+        let report = pool.run_batch(Vec::new());
         assert_eq!(report.tasks, 0);
         assert!(report.results.is_empty());
     }
@@ -537,7 +464,7 @@ mod tests {
             VecDeque::from(vec![(0, Task::Block), (1, Task::Signal)]),
             VecDeque::new(),
         ];
-        let report = pool.run_batch(queues, true);
+        let report = pool.run_batch(queues);
         assert_eq!(report.results, vec![true, true]);
         // Worker 1 must have stolen the signal task (and, if it woke
         // before worker 0, possibly the blocker too).
@@ -549,15 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn no_steals_without_stealing() {
-        let pool: WorkerPool<u64, u64> = WorkerPool::new(4, Arc::new(|x| x + 1));
-        let queues = split_contiguous((0..32u64).collect::<Vec<_>>(), 4);
-        let report = pool.run_batch(queues, false);
-        assert_eq!(report.steals, 0);
-        assert_eq!(report.results, (1..=32u64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn task_panic_propagates_and_pool_survives() {
         let pool: WorkerPool<u64, u64> = WorkerPool::new(
             2,
@@ -566,8 +484,8 @@ mod tests {
                 x
             }),
         );
-        let queues = split_contiguous((0..6u64).collect::<Vec<_>>(), 2);
-        let caught = catch_unwind(AssertUnwindSafe(|| pool.run_batch(queues, true)));
+        let queues = unit_split((0..6u64).collect::<Vec<_>>(), 2);
+        let caught = catch_unwind(AssertUnwindSafe(|| pool.run_batch(queues)));
         let payload = caught.expect_err("the task panic must reach the submitter");
         let msg = payload
             .downcast_ref::<&str>()
@@ -576,15 +494,15 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("poisoned task"), "unexpected payload: {msg}");
         // Same pool, next batch: business as usual.
-        let queues = split_contiguous((10..16u64).collect::<Vec<_>>(), 2);
-        let report = pool.run_batch(queues, true);
+        let queues = unit_split((10..16u64).collect::<Vec<_>>(), 2);
+        let report = pool.run_batch(queues);
         assert_eq!(report.results, (10..16u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn drop_joins_all_workers() {
         let pool: WorkerPool<u64, u64> = WorkerPool::new(4, Arc::new(|x| x));
-        let report = pool.run_batch(split_contiguous(vec![1, 2, 3], 4), true);
+        let report = pool.run_batch(unit_split(vec![1, 2, 3], 4));
         assert_eq!(report.results, vec![1, 2, 3]);
         let alive = pool.liveness();
         assert_eq!(Arc::strong_count(&alive), 1 + 1 + 4); // ours + pool's + workers

@@ -17,9 +17,7 @@ use crate::gossip::{
     ZERO_FP_HEX,
 };
 use crate::obs::{QuiescePhase, SystemObs};
-use crate::pool::{
-    clamp_shards, split_contiguous, split_lpt, CostModel, PartitionStrategy, WorkerPool,
-};
+use crate::pool::{clamp_shards, split_lpt, WorkerPool};
 use crate::principal::{
     rsa_priv_handle, rsa_pub_handle, shared_keys, shared_secret_handle, Principal, SharedKeys,
 };
@@ -376,25 +374,17 @@ pub struct System {
     /// store holding at least this many dead (compactable) bytes is
     /// compacted on its shard worker. `None` disables the trigger.
     auto_compact_dead_bytes: Option<u64>,
-    /// Worker count for [`System::run_to_quiescence`]: per-principal
-    /// tasks are dispatched to the persistent [`WorkerPool`] below.
-    /// `1` (the default) is the inline serial engine — no pool exists.
+    /// Worker count for [`System::run_to_quiescence`]'s per-principal
+    /// tasks. `1` (the default) runs them inline on the caller's thread.
     shards: usize,
     /// The persistent worker pool, created at [`System::set_shards`]
     /// when `shards > 1` (resized by recreating) and joined when the
-    /// system drops. Tasks are *owned* values moved out of the maps
-    /// above for one batch and merged back in registration order.
+    /// system drops. Either way a phase's tasks are *owned* values moved
+    /// out of the maps above and merged back in registration order.
     pool: Option<WorkerPool<PoolTask, PoolDone>>,
-    /// How per-principal tasks map onto pool workers.
-    partition: PartitionStrategy,
-    /// Whether idle pool workers steal queued tasks from loaded ones.
-    stealing: bool,
-    /// Where the cost estimates driving `CostAware` partitioning come
-    /// from.
-    cost_model: CostModel,
-    /// Per-principal cost estimate from the last local fixpoint
-    /// (deterministic counters or opt-in wall time; see [`CostModel`]),
-    /// feeding the greedy LPT repartition recomputed between steps.
+    /// Per-principal cost estimate from the last local fixpoint (rules
+    /// fired plus facts derived), feeding the greedy LPT partition
+    /// recomputed between steps.
     costs: HashMap<Principal, u64>,
     /// The anti-entropy revocation gossip layer, when enabled (see
     /// [`System::enable_gossip`]). `None` keeps the pre-gossip
@@ -484,9 +474,6 @@ impl System {
             auto_compact_dead_bytes: None,
             shards: 1,
             pool: None,
-            partition: PartitionStrategy::default(),
-            stealing: true,
-            cost_model: CostModel::default(),
             costs: HashMap::new(),
             gossip: None,
             obs: SystemObs::new(registry),
@@ -753,13 +740,12 @@ impl System {
     /// `shards > 1` creates (or resizes, by recreating) the persistent
     /// [`WorkerPool`]: long-lived threads that run the local-fixpoint,
     /// delivery-import and store-maintenance phases at per-principal
-    /// task granularity, with work stealing
-    /// ([`System::set_stealing`]) and cost-aware repartitioning
-    /// ([`System::set_partition`]). `1` (the default) drops the pool
-    /// and runs everything inline — byte-for-byte the serial engine.
-    /// Any worker count reaches the same quiescent state: results
-    /// merge sequentially in registration order, so which worker ran a
-    /// task is unobservable.
+    /// task granularity. Tasks are split by greedy LPT over
+    /// deterministic cost estimates, and idle workers always steal.
+    /// `1` (the default) drops the pool and runs the same tasks inline,
+    /// in registration order. Any worker count reaches the same
+    /// quiescent state: results merge sequentially in registration
+    /// order, so which worker ran a task is unobservable.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
         let wanted = if self.shards > 1 { self.shards } else { 0 };
@@ -778,67 +764,6 @@ impl System {
     #[cfg(test)]
     pub(crate) fn pool_liveness(&self) -> Option<std::sync::Arc<()>> {
         self.pool.as_ref().map(WorkerPool::liveness)
-    }
-
-    /// Builder form of [`System::set_partition`].
-    pub fn with_partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.set_partition(strategy);
-        self
-    }
-
-    /// Chooses how per-principal tasks are assigned to pool workers:
-    /// [`PartitionStrategy::CostAware`] (the default) re-runs a greedy
-    /// LPT assignment between steps over the last step's per-principal
-    /// cost estimates; [`PartitionStrategy::Contiguous`] keeps the
-    /// original balanced registration-order slices. Either strategy
-    /// reaches the identical quiescent state.
-    pub fn set_partition(&mut self, strategy: PartitionStrategy) {
-        self.partition = strategy;
-    }
-
-    /// The configured partition strategy.
-    pub fn partition(&self) -> PartitionStrategy {
-        self.partition
-    }
-
-    /// Builder form of [`System::set_stealing`].
-    pub fn with_stealing(mut self, on: bool) -> Self {
-        self.set_stealing(on);
-        self
-    }
-
-    /// Turns pool work stealing on or off (on by default): with
-    /// stealing, an idle worker drains the back of the most-loaded
-    /// queue instead of sleeping, so a mis-partitioned hub's backlog
-    /// spreads. Stealing never changes the quiescent state — only
-    /// wall-clock and the volatile `pool.steals` counter.
-    pub fn set_stealing(&mut self, on: bool) {
-        self.stealing = on;
-    }
-
-    /// Whether pool work stealing is on.
-    pub fn stealing(&self) -> bool {
-        self.stealing
-    }
-
-    /// Builder form of [`System::set_cost_model`].
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.set_cost_model(model);
-        self
-    }
-
-    /// Chooses the per-principal cost estimate feeding the cost-aware
-    /// partition: [`CostModel::Deterministic`] (the default) uses the
-    /// last evaluation's rules-fired + facts-derived counters, so the
-    /// partition is identical across runs; [`CostModel::WallTime`]
-    /// opts into last-step wall-clock nanoseconds.
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.cost_model = model;
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
     }
 
     /// Enables the anti-entropy revocation gossip layer. `program` is
@@ -922,12 +847,8 @@ impl System {
         self.maintain_stores(&order, false)
     }
 
-    /// Runs per-store checkpoint/compaction across the pool workers
-    /// (inline when the system is serial).
+    /// Runs per-store checkpoint/compaction as one store batch.
     fn maintain_stores(&mut self, order: &[Principal], prune: bool) -> Result<usize, SysError> {
-        if order.is_empty() {
-            return Ok(0);
-        }
         // Quarantined stores are skipped outright — maintenance is a
         // write (checkpoint append / segment rewrite) and the store is
         // read-only until its fault heals.
@@ -938,62 +859,51 @@ impl System {
                 self.stores.contains_key(p) && self.store_health(*p) != StoreHealth::Quarantined
             })
             .collect();
-        let workers = clamp_shards(self.shards, present.len());
-        if workers <= 1 || self.pool.is_none() {
-            let mut performed = 0usize;
-            for p in &present {
-                // Invariant: `present` is filtered against `stores`
-                // membership above and nothing removes entries.
-                let store = self.stores.get_mut(p).expect("filtered above");
-                match if prune {
-                    store.compact()
-                } else {
-                    store.checkpoint()
-                } {
-                    Ok(report) => {
-                        performed += usize::from(report.performed);
-                        self.note_store_ok(*p);
-                    }
-                    // Transient I/O degrades the store (retried by the
-                    // next group commit / maintenance pass) instead of
-                    // failing the whole sweep.
-                    Err(e) => self.note_store_failure(*p, e)?,
-                }
-            }
-            return Ok(performed);
-        }
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
-        let tasks: Vec<PoolTask> = present
+        self.run_store_batch(&present, StoreOp::Maintain { prune })
+    }
+
+    /// Runs `op` on each listed store (registration order) and folds
+    /// every outcome into that store's health state in the same order:
+    /// transient I/O degrades the store (retried by the next group
+    /// commit / maintenance pass) instead of failing the sweep. Returns
+    /// how many maintenance passes installed, or — once every outcome
+    /// is folded — the first non-I/O store error.
+    fn run_store_batch(
+        &mut self,
+        principals: &[Principal],
+        op: StoreOp,
+    ) -> Result<usize, SysError> {
+        // fsync-bound work with no per-store cost signal: unit costs.
+        let tasks: Vec<PoolTask> = principals
             .iter()
             .map(|p| PoolTask::Store {
-                store: self.stores.remove(p).expect("filtered above"),
-                op: StoreOp::Maintain { prune },
+                // Invariant: callers filter against `stores` membership
+                // and nothing removes entries.
+                store: self.stores.remove(p).expect("filtered by the caller"),
+                op,
             })
             .collect();
-        // fsync-bound work with no per-store cost signal: a balanced
-        // contiguous split plus stealing is as good as LPT here.
-        let queues = split_contiguous(tasks, pool.workers());
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
+        let (results, _) = self.run_tasks(tasks, &vec![1; principals.len()]);
         let mut performed = 0usize;
-        let mut failures: Vec<(Principal, CertStoreError)> = Vec::new();
-        for (i, done) in report.results.into_iter().enumerate() {
+        let mut first_error: Option<SysError> = None;
+        for (&p, done) in principals.iter().zip(results) {
             let PoolDone::Store { store, result } = done else {
                 unreachable!("store batches return store results");
             };
-            self.stores.insert(present[i], store);
+            self.stores.insert(p, store);
             match result {
                 Ok(did) => {
                     performed += usize::from(did);
-                    self.note_store_ok(present[i]);
+                    self.note_store_ok(p);
                 }
-                Err(e) => failures.push((present[i], e)),
+                Err(e) => {
+                    if let Err(e) = self.note_store_failure(p, e) {
+                        first_error.get_or_insert(e);
+                    }
+                }
             }
         }
-        for (p, e) in failures {
-            self.note_store_failure(p, e)?;
-        }
-        Ok(performed)
+        first_error.map_or(Ok(performed), Err)
     }
 
     /// Shared key directory (for inspection).
@@ -2058,12 +1968,16 @@ impl System {
     /// delivers messages (triggering imports), and repeats until no
     /// workspace derives anything new and the network is empty.
     ///
-    /// With [`System::set_shards`] above 1, the local-fixpoint,
-    /// export-drain and delivery-import phases run in parallel across
-    /// worker shards, each owning a disjoint contiguous slice of the
-    /// registration order; placement updates, network traffic and
-    /// statistics are merged sequentially in that same order, so every
-    /// shard count reaches the identical quiescent state.
+    /// The local-fixpoint, delivery-import and store-commit phases each
+    /// run as one batch of per-principal tasks. With
+    /// [`System::set_shards`] above 1 the batch goes to the worker
+    /// pool (LPT over deterministic costs, stealing on); at 1 it runs
+    /// inline in registration order. Either way results merge
+    /// sequentially in registration order, and placement updates and
+    /// network traffic stay sequential, so every shard count reaches
+    /// the identical quiescent state — also when a phase fails: every
+    /// task of the batch runs and merges before the first hard error
+    /// is returned.
     ///
     /// Messages whose import violates the receiver's verification
     /// constraint are rejected (the receiving workspace rolls back) and
@@ -2305,96 +2219,77 @@ impl System {
         total
     }
 
-    /// Phase 1: every workspace to its local fixpoint, partitioned
-    /// across shards. Constraint violations are rollbacks (counted);
-    /// any other evaluation error aborts the run.
-    fn local_fixpoints(&mut self, order: &[Principal]) -> Result<(), SysError> {
-        let workers = clamp_shards(self.shards, order.len());
-        if workers <= 1 || self.pool.is_none() {
-            // Serial fast path: iterate directly — no pool, no task
-            // moves. Costs still refresh so a later `set_shards` call
-            // starts from a real estimate.
-            let started = self.obs.phase_timer();
-            for &p in order {
-                let ws = self.workspaces.get_mut(&p).expect("registered");
-                let eval_started = (self.cost_model == CostModel::WallTime).then(Instant::now);
-                match ws.evaluate() {
-                    Ok(stats) => {
-                        let cost = match eval_started {
-                            Some(t) => wall_cost(t),
-                            None => deterministic_cost(&stats),
-                        };
-                        self.costs.insert(p, cost);
-                    }
-                    Err(WsError::Constraint(_)) => {
-                        self.stats.local_rollbacks += 1;
-                        self.costs.insert(p, 1);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+    /// Runs one batch of per-principal tasks and returns their results
+    /// in submission order, plus each worker's busy nanoseconds. Without
+    /// a pool, or with a single task, the tasks run inline on this
+    /// thread in index order and record no `pool.*` counters; otherwise
+    /// they are LPT-split over `costs` across the pool's workers, with
+    /// stealing.
+    fn run_tasks(&self, tasks: Vec<PoolTask>, costs: &[u64]) -> (Vec<PoolDone>, Vec<u64>) {
+        match &self.pool {
+            Some(pool) if clamp_shards(pool.workers(), tasks.len()) > 1 => {
+                let report = pool.run_batch(split_lpt(tasks, costs, pool.workers()));
+                self.obs.record_pool_batch(report.steals, report.tasks);
+                (report.results, report.busy)
             }
-            if let Some(s) = started {
-                self.obs.record_shard_fixpoint(0, s.elapsed());
+            _ => {
+                let started = self.obs.phase_timer();
+                let results = tasks.into_iter().map(run_pool_task).collect();
+                let busy = started
+                    .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
+                    .into_iter()
+                    .collect();
+                (results, busy)
             }
-            return Ok(());
         }
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
+    }
+
+    /// The last fixpoint's cost estimate for each of `principals`.
+    fn costs_of(&self, principals: &[Principal]) -> Vec<u64> {
+        principals
+            .iter()
+            .map(|p| self.costs.get(p).copied().unwrap_or(1))
+            .collect()
+    }
+
+    /// Phase 1: every workspace to its local fixpoint, as one task
+    /// batch. Constraint violations are rollbacks (counted); any other
+    /// evaluation error aborts the run once the batch has merged.
+    fn local_fixpoints(&mut self, order: &[Principal]) -> Result<(), SysError> {
         // Move each workspace out for the duration of the batch; the
         // merge below reinserts in registration order.
         let tasks: Vec<PoolTask> = order
             .iter()
-            .map(|p| PoolTask::Fixpoint {
-                ws: self.workspaces.remove(p).expect("registered"),
-                time: self.cost_model == CostModel::WallTime,
-            })
+            .map(|p| PoolTask::Fixpoint(self.workspaces.remove(p).expect("registered")))
             .collect();
-        let costs: Vec<u64> = order
-            .iter()
-            .map(|p| self.costs.get(p).copied().unwrap_or(1))
-            .collect();
-        let queues = match self.partition {
-            PartitionStrategy::Contiguous => split_contiguous(tasks, pool.workers()),
-            PartitionStrategy::CostAware => split_lpt(tasks, &costs, pool.workers()),
-        };
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
+        let (results, busy) = self.run_tasks(tasks, &self.costs_of(order));
         // Per-worker busy time feeds the shard histograms (and through
-        // them the imbalance gauge): with stealing on, this is the
-        // *actual* load each worker carried, not the planned partition.
-        for (w, nanos) in report.busy.iter().enumerate() {
+        // them the imbalance gauge): with stealing, this is the *actual*
+        // load each worker carried, not the planned partition.
+        for (w, nanos) in busy.into_iter().enumerate() {
             self.obs
-                .record_shard_fixpoint(w, Duration::from_nanos(*nanos));
+                .record_shard_fixpoint(w, Duration::from_nanos(nanos));
         }
         let mut first_error: Option<WsError> = None;
-        for (i, done) in report.results.into_iter().enumerate() {
-            let p = order[i];
-            let PoolDone::Fixpoint { ws, result, nanos } = done else {
+        for (&p, done) in order.iter().zip(results) {
+            let PoolDone::Fixpoint { ws, result } = done else {
                 unreachable!("fixpoint batches return fixpoint results");
             };
             self.workspaces.insert(p, ws);
             match result {
                 Ok(stats) => {
-                    let cost = match self.cost_model {
-                        CostModel::Deterministic => deterministic_cost(&stats),
-                        CostModel::WallTime => nanos.max(1),
-                    };
-                    self.costs.insert(p, cost);
+                    self.costs.insert(p, deterministic_cost(&stats));
                 }
                 Err(WsError::Constraint(_)) => {
                     self.stats.local_rollbacks += 1;
                     self.costs.insert(p, 1);
                 }
                 Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+                    first_error.get_or_insert(e);
                 }
             }
         }
-        match first_error {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
-        }
+        first_error.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Phase 1b: fold derived `loc(P, N)` facts into the placement map.
@@ -2554,10 +2449,6 @@ impl System {
                 }
             }
         }
-        if inbox.is_empty() && revocations.is_empty() && summaries.is_empty() {
-            self.serve_pulls(&pulls);
-            return Ok(delivered);
-        }
         let destinations: Vec<Principal> = order
             .iter()
             .copied()
@@ -2565,66 +2456,21 @@ impl System {
                 inbox.contains_key(p) || revocations.contains_key(p) || summaries.contains_key(p)
             })
             .collect();
-        for &p in &destinations {
-            self.cert_facts.entry(p).or_default();
-            if let Some(gossip) = self.gossip.as_mut() {
-                gossip.inbox.entry(p).or_default();
-            }
-        }
-        let workers = clamp_shards(self.shards, destinations.len());
+        // Each destination's state moves out as one owned job and merges
+        // back in registration order, whichever thread ran it.
         let verifier = self.key_verifier();
         let eager = self.sync_policy == SyncPolicy::Eager;
-        if workers <= 1 || self.pool.is_none() {
-            // Serial fast path: process destinations in registration
-            // order without the per-shard reference maps. Outcomes are
-            // merged before an error propagates, so the statistics
-            // always reflect the mutations actually applied.
-            for p in destinations {
-                let task = DeliveryTask {
-                    ws: self.workspaces.get_mut(&p).expect("registered"),
-                    store: self.stores.get_mut(&p).expect("registered"),
-                    facts: self.cert_facts.get_mut(&p).expect("entry ensured above"),
-                    gossip_inbox: self
-                        .gossip
-                        .as_mut()
-                        .map(|g| g.inbox.get_mut(&p).expect("entry ensured above")),
-                    revocations: revocations.remove(&p).unwrap_or_default(),
-                    summaries: summaries.remove(&p).unwrap_or_default(),
-                    tuples: inbox.remove(&p).unwrap_or_default(),
-                };
-                let (outcome, error) = process_destination(task, &verifier, eager, export);
-                self.merge_delivery(p, outcome);
-                if let Some(e) = error {
-                    return Err(e.into());
-                }
-            }
-            self.serve_pulls(&pulls);
-            return Ok(delivered);
-        }
-        // Pooled path: each destination's state moves out as one owned
-        // job, runs on whichever worker claims (or steals) it, and
-        // merges back in registration order — so delivery statistics
-        // and workspace states are identical to the serial engine's.
-        let gossip_on = self.gossip.is_some();
         let jobs: Vec<PoolTask> = destinations
             .iter()
             .map(|p| {
                 PoolTask::Delivery(Box::new(DeliveryJob {
                     ws: self.workspaces.remove(p).expect("registered"),
                     store: self.stores.remove(p).expect("registered"),
-                    facts: self.cert_facts.remove(p).expect("entry ensured above"),
-                    gossip_inbox: if gossip_on {
-                        Some(
-                            self.gossip
-                                .as_mut()
-                                .expect("gossip on")
-                                .inbox
-                                .remove(p)
-                                .expect("entry ensured above"),
-                        )
-                    } else {
-                        None
-                    },
+                    facts: self.cert_facts.remove(p).unwrap_or_default(),
+                    gossip_inbox: self
+                        .gossip
+                        .as_mut()
+                        .map(|g| g.inbox.remove(p).unwrap_or_default()),
                     revocations: revocations.remove(p).unwrap_or_default(),
                     summaries: summaries.remove(p).unwrap_or_default(),
                     tuples: inbox.remove(p).unwrap_or_default(),
@@ -2634,20 +2480,11 @@ impl System {
                 }))
             })
             .collect();
-        let costs: Vec<u64> = destinations
-            .iter()
-            .map(|p| self.costs.get(p).copied().unwrap_or(1))
-            .collect();
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
-        let queues = match self.partition {
-            PartitionStrategy::Contiguous => split_contiguous(jobs, pool.workers()),
-            PartitionStrategy::CostAware => split_lpt(jobs, &costs, pool.workers()),
-        };
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
+        let (results, _) = self.run_tasks(jobs, &self.costs_of(&destinations));
+        // Outcomes merge before an error propagates, so the statistics
+        // always reflect the mutations actually applied.
         let mut first_error: Option<WsError> = None;
-        for (i, done) in report.results.into_iter().enumerate() {
-            let p = destinations[i];
+        for (&p, done) in destinations.iter().zip(results) {
             let PoolDone::Delivery {
                 ws,
                 store,
@@ -2670,13 +2507,11 @@ impl System {
                 first_error = error;
             }
         }
-        match first_error {
-            Some(e) => Err(e.into()),
-            None => {
-                self.serve_pulls(&pulls);
-                Ok(delivered)
-            }
+        if let Some(e) = first_error {
+            return Err(e.into());
         }
+        self.serve_pulls(&pulls);
+        Ok(delivered)
     }
 
     /// Answers gossip pull requests, sequentially in delivery order
@@ -2737,7 +2572,6 @@ impl System {
     /// shard worker — maintenance piggybacks on the commit point
     /// instead of adding a stop-the-world phase.
     fn sync_stores(&mut self, order: &[Principal]) -> Result<(), SysError> {
-        let threshold = self.auto_compact_dead_bytes;
         let step = self.stats.steps;
         // Skip quarantined stores (read-only until their fault heals)
         // and degraded stores whose step-based backoff has not elapsed
@@ -2755,55 +2589,10 @@ impl System {
                     }
             })
             .collect();
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let workers = clamp_shards(self.shards, dirty.len());
-        if workers <= 1 || self.pool.is_none() {
-            for p in &dirty {
-                // Invariant: `dirty` is filtered against `stores`
-                // membership above and nothing removes entries.
-                let store = self.stores.get_mut(p).expect("registered");
-                match group_commit_store(store, threshold) {
-                    Ok(()) => self.note_store_ok(*p),
-                    // Transient I/O degrades the store with deferred
-                    // retry instead of failing the whole sweep.
-                    Err(e) => self.note_store_failure(*p, e)?,
-                }
-            }
-            return Ok(());
-        }
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
-        let tasks: Vec<PoolTask> = dirty
-            .iter()
-            .map(|p| PoolTask::Store {
-                store: self.stores.remove(p).expect("registered"),
-                op: StoreOp::GroupCommit {
-                    auto_compact: threshold,
-                },
-            })
-            .collect();
-        let queues = split_contiguous(tasks, pool.workers());
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
-        let mut failures: Vec<(Principal, CertStoreError)> = Vec::new();
-        for (i, done) in report.results.into_iter().enumerate() {
-            let PoolDone::Store { store, result } = done else {
-                unreachable!("store batches return store results");
-            };
-            self.stores.insert(dirty[i], store);
-            match result {
-                Ok(_) => self.note_store_ok(dirty[i]),
-                Err(e) => failures.push((dirty[i], e)),
-            }
-        }
-        // Health folds happen after every store is back in the map, in
-        // registration order, so serial and sharded runs record the
-        // identical degradation sequence.
-        for (p, e) in failures {
-            self.note_store_failure(p, e)?;
-        }
-        Ok(())
+        let op = StoreOp::GroupCommit {
+            auto_compact: self.auto_compact_dead_bytes,
+        };
+        self.run_store_batch(&dirty, op).map(drop)
     }
 
     /// Phase 5 of [`System::run_to_quiescence`]: probe each
@@ -2892,27 +2681,6 @@ impl System {
     }
 }
 
-/// One destination's work for a delivery shard: exclusive references
-/// to everything the destination owns (workspace, certificate store,
-/// the fact index for its imported certificates) plus the routed
-/// packets.
-struct DeliveryTask<'a> {
-    ws: &'a mut Workspace,
-    store: &'a mut CertStore,
-    facts: &'a mut CertFactIndex,
-    /// This destination's slice of the gossip advertisement inbox
-    /// (`None` when gossip is off; summaries are only routed when it
-    /// is on).
-    gossip_inbox: Option<&'a mut HashMap<(Symbol, Symbol), String>>,
-    /// Wire revocations routed here, each with its application mode
-    /// (`true` = tolerant gossip absorption).
-    revocations: Vec<(Revocation, bool)>,
-    /// Gossip advertisements routed here: `(advertiser, signer,
-    /// fingerprint)` in delivery order.
-    summaries: Vec<(Symbol, Symbol, String)>,
-    tuples: Vec<Tuple>,
-}
-
 /// Counters one delivery shard hands back for the sequential merge
 /// into [`SystemStats`].
 #[derive(Default)]
@@ -2932,26 +2700,24 @@ struct DeliveryOutcome {
 /// Applies one destination's routed packets: revocations first (store
 /// transition + DRed retraction of the dead certificates' facts), then
 /// the export batch (assert + one evaluation, with per-message retry
-/// after a constraint rollback). Runs on a shard worker; everything it
-/// touches is owned exclusively by the task except the shared
-/// verification cache and key directory behind `verifier`. The outcome
-/// counters are returned even when a hard error cuts the work short,
-/// so statistics stay faithful to the mutations actually applied.
-fn process_destination(
-    task: DeliveryTask<'_>,
-    verifier: &KeyVerifier,
-    eager: bool,
-    export: Symbol,
-) -> (DeliveryOutcome, Option<WsError>) {
-    let DeliveryTask {
-        ws,
-        store,
-        facts,
-        gossip_inbox,
+/// after a constraint rollback). Everything it touches is owned by the
+/// job except the shared verification cache and key directory behind
+/// `verifier`. The state and the outcome counters are handed back even
+/// when a hard error cuts the work short, so statistics stay faithful
+/// to the mutations actually applied.
+fn process_destination(job: DeliveryJob) -> PoolDone {
+    let DeliveryJob {
+        mut ws,
+        mut store,
+        mut facts,
+        mut gossip_inbox,
         revocations,
         summaries,
         tuples,
-    } = task;
+        verifier,
+        eager,
+        export,
+    } = job;
     let mut out = DeliveryOutcome::default();
     for (revocation, absorb) in revocations {
         // Bad signatures (and, under Eager, a failed commit) count as
@@ -2960,9 +2726,9 @@ fn process_destination(
         // remembered as inert instead of rejected, so anti-entropy
         // converges on the object set.
         let applied = if absorb {
-            store.absorb_revocation(&revocation, verifier)
+            store.absorb_revocation(&revocation, &verifier)
         } else {
-            store.revoke_with_outcome(&revocation, verifier)
+            store.revoke_with_outcome(&revocation, &verifier)
         }
         .and_then(|outcome| {
             if eager {
@@ -3003,7 +2769,9 @@ fn process_destination(
     }
     if !summaries.is_empty() {
         let me = ws.me();
-        let inbox = gossip_inbox.expect("summaries are only routed while gossip is on");
+        let inbox = gossip_inbox
+            .as_mut()
+            .expect("summaries are only routed while gossip is on");
         for (from, issuer, fingerprint) in summaries {
             let key = (from, issuer);
             let prev = inbox.get(&key).cloned();
@@ -3023,6 +2791,7 @@ fn process_destination(
             inbox.insert(key, fingerprint);
         }
     }
+    let mut error = None;
     if !tuples.is_empty() {
         let n = tuples.len();
         for tuple in &tuples {
@@ -3037,14 +2806,24 @@ fn process_destination(
                     match ws.evaluate() {
                         Ok(_) => out.accepted += 1,
                         Err(WsError::Constraint(_)) => out.rejected += 1,
-                        Err(e) => return (out, Some(e)),
+                        Err(e) => {
+                            error = Some(e);
+                            break;
+                        }
                     }
                 }
             }
-            Err(e) => return (out, Some(e)),
+            Err(e) => error = Some(e),
         }
     }
-    (out, None)
+    PoolDone::Delivery {
+        ws,
+        store,
+        facts,
+        gossip_inbox,
+        outcome: out,
+        error,
+    }
 }
 
 // ---- worker-pool task plumbing ------------------------------------------
@@ -3059,16 +2838,8 @@ fn deterministic_cost(stats: &EvalStats) -> u64 {
         .max(1)
 }
 
-/// The opt-in wall-time cost: elapsed nanoseconds, floored at 1.
-fn wall_cost(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos())
-        .unwrap_or(u64::MAX)
-        .max(1)
-}
-
 /// One store's group-commit work: sync, then — with auto-compaction
-/// armed — compact if the dead-byte threshold is reached. Shared by
-/// the serial sweep and the pool workers.
+/// armed — compact if the dead-byte threshold is reached.
 fn group_commit_store(
     store: &mut CertStore,
     auto_compact: Option<u64>,
@@ -3094,6 +2865,7 @@ fn group_commit_store(
 }
 
 /// Which maintenance a [`PoolTask::Store`] performs.
+#[derive(Clone, Copy)]
 enum StoreOp {
     /// The group-commit sweep: sync, plus opportunistic compaction.
     GroupCommit { auto_compact: Option<u64> },
@@ -3101,20 +2873,16 @@ enum StoreOp {
     Maintain { prune: bool },
 }
 
-/// One unit of pool work: owned state moved out of the `System`'s maps
-/// for the duration of a batch. Ownership (instead of the old scoped
-/// `&mut` slices) is what lets the pool threads outlive any one phase
+/// One per-principal task: owned state moved out of the `System`'s maps
+/// for the duration of a batch, run inline or on a pool worker.
+/// Ownership is what lets the pool threads outlive any one phase
 /// without unsafe lifetime erasure.
 // A task moves exactly twice (into its queue, out at claim); a shallow
 // struct copy is cheaper than boxing each Workspace/CertStore per step.
 #[allow(clippy::large_enum_variant)]
 enum PoolTask {
     /// Evaluate one workspace to its local fixpoint.
-    Fixpoint {
-        ws: Workspace,
-        /// Measure wall time for [`CostModel::WallTime`].
-        time: bool,
-    },
+    Fixpoint(Workspace),
     /// Apply one destination's routed packets (boxed: the job is the
     /// fattest variant by far).
     Delivery(Box<DeliveryJob>),
@@ -3130,8 +2898,6 @@ enum PoolDone {
     Fixpoint {
         ws: Workspace,
         result: Result<EvalStats, WsError>,
-        /// Wall nanoseconds of the evaluation (0 unless requested).
-        nanos: u64,
     },
     Delivery {
         ws: Workspace,
@@ -3149,9 +2915,11 @@ enum PoolDone {
     },
 }
 
-/// The owned form of [`DeliveryTask`]: everything one destination
-/// needs, including a clone of the (cheap, `Arc`-backed) verifier and
-/// the per-batch flags, so the task is `'static` and self-contained.
+/// One destination's delivery work: its workspace, certificate store,
+/// fact index for imported certificates and gossip inbox slice, the
+/// packets routed to it, plus a clone of the (cheap, `Arc`-backed)
+/// verifier and the per-batch flags, so the task is `'static` and
+/// self-contained.
 struct DeliveryJob {
     ws: Workspace,
     store: CertStore,
@@ -3165,50 +2933,15 @@ struct DeliveryJob {
     export: Symbol,
 }
 
-impl DeliveryJob {
-    fn run(&mut self) -> (DeliveryOutcome, Option<WsError>) {
-        let verifier = self.verifier.clone();
-        let task = DeliveryTask {
-            ws: &mut self.ws,
-            store: &mut self.store,
-            facts: &mut self.facts,
-            gossip_inbox: self.gossip_inbox.as_mut(),
-            revocations: std::mem::take(&mut self.revocations),
-            summaries: std::mem::take(&mut self.summaries),
-            tuples: std::mem::take(&mut self.tuples),
-        };
-        process_destination(task, &verifier, self.eager, self.export)
-    }
-}
-
-/// The pool workers' dispatch function — the single `fn` every
-/// [`WorkerPool`] thread runs on each task it claims.
+/// The single `fn` that runs a task, inline or on a [`WorkerPool`]
+/// thread.
 fn run_pool_task(task: PoolTask) -> PoolDone {
     match task {
-        PoolTask::Fixpoint { mut ws, time } => {
-            let started = time.then(Instant::now);
+        PoolTask::Fixpoint(mut ws) => {
             let result = ws.evaluate();
-            let nanos = started.map_or(0, wall_cost);
-            PoolDone::Fixpoint { ws, result, nanos }
+            PoolDone::Fixpoint { ws, result }
         }
-        PoolTask::Delivery(mut job) => {
-            let (outcome, error) = job.run();
-            let DeliveryJob {
-                ws,
-                store,
-                facts,
-                gossip_inbox,
-                ..
-            } = *job;
-            PoolDone::Delivery {
-                ws,
-                store,
-                facts,
-                gossip_inbox,
-                outcome,
-                error,
-            }
-        }
+        PoolTask::Delivery(job) => process_destination(*job),
         PoolTask::Store { mut store, op } => {
             let result = match op {
                 StoreOp::GroupCommit { auto_compact } => {

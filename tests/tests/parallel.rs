@@ -4,7 +4,7 @@
 //! statistics — because shards only ever own disjoint principals and
 //! every cross-shard effect merges sequentially in registration order.
 
-use lbtrust::{CostModel, PartitionStrategy, Principal, SyncPolicy, System};
+use lbtrust::{Principal, SyncPolicy, SysError, System, WsError};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -158,22 +158,10 @@ proptest! {
 /// carries roughly half of all rules (one `says` rule per spoke plus a
 /// transitive closure over the generated edges) and issues every
 /// certificate, while each spoke holds a single access rule. This is
-/// the shape where contiguous slices leave workers idle and work
-/// stealing matters.
-fn run_skewed(
-    shards: usize,
-    spokes: usize,
-    edges: &[(u8, u8)],
-    partition: PartitionStrategy,
-    stealing: bool,
-    cost_model: CostModel,
-) -> System {
-    let mut sys = System::new()
-        .with_rsa_bits(512)
-        .with_shards(shards)
-        .with_partition(partition)
-        .with_stealing(stealing)
-        .with_cost_model(cost_model);
+/// the shape where a naive split leaves workers idle and work stealing
+/// matters.
+fn run_skewed(shards: usize, spokes: usize, edges: &[(u8, u8)]) -> System {
+    let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
     let hub = sys.add_principal("hub", "n0").unwrap();
     let mut recs: Vec<Principal> = Vec::new();
     for i in 0..spokes {
@@ -259,14 +247,8 @@ proptest! {
         spokes in 2usize..6,
         edges in prop::collection::vec((0u8..8, 0u8..8), 0..12),
     ) {
-        let serial = run_skewed(
-            1, spokes, &edges,
-            PartitionStrategy::CostAware, true, CostModel::Deterministic,
-        );
-        let pooled = run_skewed(
-            8, spokes, &edges,
-            PartitionStrategy::CostAware, true, CostModel::Deterministic,
-        );
+        let serial = run_skewed(1, spokes, &edges);
+        let pooled = run_skewed(8, spokes, &edges);
         let all: Vec<Principal> = serial.principals().to_vec();
         prop_assert_eq!(pooled.principals(), all.as_slice());
         for &p in &all {
@@ -284,32 +266,76 @@ proptest! {
     }
 }
 
-/// Every engine configuration — contiguous or cost-aware partition,
-/// stealing on or off, deterministic or wall-time costs — reaches the
-/// identical quiescent state: scheduling is unobservable.
+/// Every pool size reaches the serial quiescent state on the skewed
+/// topology: the LPT partition changes with the worker count, and
+/// stealing moves tasks between workers, but scheduling is
+/// unobservable.
 #[test]
-fn partition_and_stealing_modes_are_equivalent() {
+fn shard_counts_are_equivalent_on_skewed_hub() {
     let edges = [(1, 2), (2, 3), (3, 4), (1, 5)];
-    let serial = run_skewed(
-        1,
-        4,
-        &edges,
-        PartitionStrategy::CostAware,
-        true,
-        CostModel::Deterministic,
-    );
-    for partition in [PartitionStrategy::Contiguous, PartitionStrategy::CostAware] {
-        for stealing in [false, true] {
-            for cost_model in [CostModel::Deterministic, CostModel::WallTime] {
-                let pooled = run_skewed(4, 4, &edges, partition, stealing, cost_model);
-                assert_same_state(
-                    &serial,
-                    &pooled,
-                    &format!("{partition:?}/stealing={stealing}/{cost_model:?}"),
-                );
-            }
-        }
+    let serial = run_skewed(1, 4, &edges);
+    for shards in [2, 4, 8] {
+        let pooled = run_skewed(shards, 4, &edges);
+        assert_same_state(&serial, &pooled, &format!("shards={shards}"));
     }
+}
+
+/// A hard evaluation error leaves the same state at every shard count.
+/// The first-registered principal installs a self-feeding generator
+/// (each stage's rule derives the fact that generates the next rule),
+/// so its fixpoint fails with `MetaDivergence`; the principals after
+/// it still have unevaluated facts. Every task of the phase runs and
+/// merges before the error is returned, inline or pooled.
+fn run_until_hard_error(shards: usize) -> System {
+    let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
+    let bad = sys.add_principal("bad", "n0").unwrap();
+    let mut rest: Vec<Principal> = Vec::new();
+    for i in 0..5 {
+        let p = sys
+            .add_principal(&format!("w{i}"), &format!("m{i}"))
+            .unwrap();
+        sys.workspace_mut(p)
+            .unwrap()
+            .load(
+                "policy",
+                "reach(X,Y) <- edge(X,Y).\n\
+                 reach(X,Z) <- reach(X,Y), edge(Y,Z).\n",
+            )
+            .unwrap();
+        rest.push(p);
+    }
+    sys.run_to_quiescence(8).unwrap();
+    sys.workspace_mut(bad)
+        .unwrap()
+        .load(
+            "runaway",
+            "c(0).\n\
+             go().\n\
+             active([| c(M) <- go(). |]) <- c(K), M = K + 1.\n",
+        )
+        .unwrap();
+    for (i, &p) in rest.iter().enumerate() {
+        sys.workspace_mut(p)
+            .unwrap()
+            .assert_src(&format!("edge(a,b{i}). edge(b{i},c{i})."))
+            .unwrap();
+    }
+    let err = sys.run_to_quiescence(8);
+    assert!(
+        matches!(
+            err,
+            Err(SysError::Workspace(WsError::MetaDivergence { .. }))
+        ),
+        "shards={shards}: expected a meta-divergence error, got {err:?}"
+    );
+    sys
+}
+
+#[test]
+fn hard_error_leaves_shard_invariant_state() {
+    let serial = run_until_hard_error(1);
+    let pooled = run_until_hard_error(4);
+    assert_same_state(&serial, &pooled, "after the hard error");
 }
 
 /// Shard counts beyond the principal count (and absurd ones) still
