@@ -280,8 +280,8 @@ fn sharded_quiescence(c: &mut Criterion) {
     // quiet host).
     const OBS_ROUNDS: usize = 12;
     let pass = |timing: bool, base: usize| {
-        let (mut sys, hub) = fanout_chain_system(8);
-        sys.set_phase_timing(timing);
+        let (sys, hub) = fanout_chain_system(8);
+        let mut sys = sys.with_phase_timing(timing);
         let started = Instant::now();
         for r in 0..OBS_ROUNDS {
             chain_iteration(&mut sys, hub, base + r);

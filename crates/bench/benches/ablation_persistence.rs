@@ -101,7 +101,7 @@ fn system_reopen(c: &mut Criterion) {
 
     // First life: build the logs.
     {
-        let mut sys = System::open_persistent(&dir).unwrap().with_rsa_bits(512);
+        let mut sys = System::new().persist_at(&dir).unwrap().with_rsa_bits(512);
         let alice = sys.add_principal("alice", "n1").unwrap();
         let bob = sys.add_principal("bob", "n2").unwrap();
         sys.workspace_mut(bob)
@@ -123,7 +123,7 @@ fn system_reopen(c: &mut Criterion) {
         |b, _| {
             b.iter(|| {
                 // Second life: keygen + replay + workspace reconciliation.
-                let mut sys = System::open_persistent(&dir).unwrap().with_rsa_bits(512);
+                let mut sys = System::new().persist_at(&dir).unwrap().with_rsa_bits(512);
                 sys.add_principal("alice", "n1").unwrap();
                 let bob = sys.add_principal("bob", "n2").unwrap();
                 sys.workspace_mut(bob)

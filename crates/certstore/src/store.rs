@@ -10,7 +10,6 @@
 //! outcome, which replay primes into the shared verification cache.
 
 use crate::audit::{AuditAction, AuditEntry, AuditLog};
-use crate::backend::fault::{FaultHandle, FaultingBackend};
 use crate::backend::log::LogBackend;
 use crate::backend::memory::MemoryBackend;
 use crate::backend::{
@@ -567,60 +566,6 @@ impl CertStore {
         let log = backend.replay()?;
         let mut store = CertStore::with_backend(backend, cache);
         store.apply_replay(log);
-        Ok(store)
-    }
-
-    /// [`CertStore::open`] with the unified observability registry
-    /// attached end to end: the log backend's `storelog.*` lifecycle
-    /// metrics are wired *before* replay (so the opening replay is
-    /// measured) and the store's `store.*` counters right after.
-    /// `rotate_bytes` of `None` keeps the default rotation budget.
-    pub fn open_with_obs(
-        path: impl AsRef<Path>,
-        cache: SharedVerifyCache,
-        rotate_bytes: Option<u64>,
-        registry: &lbtrust_obs::Registry,
-    ) -> Result<CertStore, CertStoreError> {
-        let mut backend = match rotate_bytes {
-            Some(bytes) => LogBackend::open_with_budget(path, bytes)?,
-            None => LogBackend::open(path)?,
-        };
-        backend.attach_metrics(registry);
-        let mut store = CertStore::open_backend(Box::new(backend), cache)?;
-        store.attach_obs(registry);
-        Ok(store)
-    }
-
-    /// An in-memory store whose backend injects faults on `faults`'
-    /// schedule — the chaos-test shape: fault decisions (and their
-    /// retry/quarantine consequences upstream) fire deterministically
-    /// while the state itself stays ephemeral.
-    pub fn with_cache_faults(cache: SharedVerifyCache, faults: FaultHandle) -> CertStore {
-        let backend: Box<dyn StorageBackend> = Box::new(MemoryBackend::new());
-        CertStore::with_backend(Box::new(FaultingBackend::new(backend, faults)), cache)
-    }
-
-    /// [`CertStore::open_with_obs`] with a [`FaultingBackend`] wrapped
-    /// around the segment log: the opening replay runs against the
-    /// real log (a fresh wrapper has an empty page cache), and every
-    /// subsequent append/sync consults `faults`.
-    pub fn open_with_obs_faults(
-        path: impl AsRef<Path>,
-        cache: SharedVerifyCache,
-        rotate_bytes: Option<u64>,
-        registry: &lbtrust_obs::Registry,
-        faults: FaultHandle,
-    ) -> Result<CertStore, CertStoreError> {
-        let mut backend = match rotate_bytes {
-            Some(bytes) => LogBackend::open_with_budget(path, bytes)?,
-            None => LogBackend::open(path)?,
-        };
-        backend.attach_metrics(registry);
-        faults.attach_metrics(registry);
-        let boxed: Box<dyn StorageBackend> = Box::new(backend);
-        let mut store =
-            CertStore::open_backend(Box::new(FaultingBackend::new(boxed, faults)), cache)?;
-        store.attach_obs(registry);
         Ok(store)
     }
 

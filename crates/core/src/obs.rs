@@ -2,15 +2,15 @@
 //! the quiescence phase spans, and the authorization decision journal
 //! plug into the runtime.
 //!
-//! Every [`crate::System`] owns a [`SystemObs`]: a metrics
+//! Every [`crate::System`] owns a `SystemObs`: a metrics
 //! [`Registry`] (shared with each principal's certificate store, the
 //! log backends, and the simulated network), wall-clock histograms for
 //! each phase of `run_to_quiescence` — including one histogram *per
 //! fixpoint shard*, so worker imbalance on skewed topologies is
 //! visible — and the decision [`Journal`]. Phase timing is on by
-//! default and can be disabled ([`crate::System::set_phase_timing`])
+//! default and can be disabled ([`crate::System::with_phase_timing`])
 //! for overhead-sensitive runs; the journal is disabled unless a sink
-//! is attached.
+//! is attached ([`crate::System::enable_decision_journal`]).
 
 use std::time::{Duration, Instant};
 

@@ -24,10 +24,12 @@ use crate::principal::{
 use crate::says::SAYS_DECLS;
 use crate::workspace::{RetractOutcome, Workspace, WsError};
 use lbtrust_analysis::{analyze, Analysis, AnalyzerConfig, Diagnostic, LintLevel};
+use lbtrust_certstore::backend::log::{LogBackend, DEFAULT_ROTATE_BYTES};
+use lbtrust_certstore::backend::memory::MemoryBackend;
 use lbtrust_certstore::{
     cert, shared_verify_cache, AuditEntry, CertDigest, CertStore, CertStoreError, FaultConfig,
-    FaultHandle, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache, SignatureVerifier,
-    StorageError,
+    FaultHandle, FaultingBackend, ImportOutcome, LinkedCert, RetractionEvent, Revocation,
+    SharedVerifyCache, SignatureVerifier, StorageBackend, StorageError,
 };
 use lbtrust_datalog::{parse_program, EvalStats, Symbol, Tuple, Value};
 use lbtrust_net::{
@@ -66,7 +68,7 @@ pub enum SysError {
     Degraded(DegradedError),
     /// Static analysis refused the program: one or more findings at
     /// [`LintLevel::Deny`] under the system's lint configuration (see
-    /// [`System::load_program`] and [`System::set_lint_level`]).
+    /// [`System::load_program`] and [`System::with_lint_level`]).
     Lint(LintError),
 }
 
@@ -367,20 +369,19 @@ pub struct System {
     persist_dir: Option<PathBuf>,
     /// When stores fsync (see [`SyncPolicy`]).
     sync_policy: SyncPolicy,
-    /// Segment-rotation budget for persistent stores (`None` = the
-    /// backend default). Applied at principal registration.
-    rotate_bytes: Option<u64>,
+    /// Segment-rotation budget for persistent stores, applied at
+    /// principal registration.
+    rotate_bytes: u64,
     /// Auto-compaction threshold: during a batched group commit, any
     /// store holding at least this many dead (compactable) bytes is
     /// compacted on its shard worker. `None` disables the trigger.
     auto_compact_dead_bytes: Option<u64>,
-    /// Worker count for [`System::run_to_quiescence`]'s per-principal
-    /// tasks. `1` (the default) runs them inline on the caller's thread.
-    shards: usize,
-    /// The persistent worker pool, created at [`System::set_shards`]
-    /// when `shards > 1` (resized by recreating) and joined when the
-    /// system drops. Either way a phase's tasks are *owned* values moved
-    /// out of the maps above and merged back in registration order.
+    /// The persistent worker pool for [`System::run_to_quiescence`]'s
+    /// per-principal tasks, created at [`System::with_shards`] when
+    /// `shards > 1` (resized by recreating) and joined when the system
+    /// drops; `None` runs the tasks inline on the caller's thread.
+    /// Either way a phase's tasks are *owned* values moved out of the
+    /// maps above and merged back in registration order.
     pool: Option<WorkerPool<PoolTask, PoolDone>>,
     /// Per-principal cost estimate from the last local fixpoint (rules
     /// fired plus facts derived), feeding the greedy LPT partition
@@ -470,9 +471,8 @@ impl System {
             cert_facts: HashMap::new(),
             persist_dir: None,
             sync_policy: SyncPolicy::default(),
-            rotate_bytes: None,
+            rotate_bytes: DEFAULT_ROTATE_BYTES,
             auto_compact_dead_bytes: None,
-            shards: 1,
             pool: None,
             costs: HashMap::new(),
             gossip: None,
@@ -502,16 +502,6 @@ impl System {
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> System {
         self.retry_policy = policy;
         self
-    }
-
-    /// Overrides the step-based retry/quarantine policy in place.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_policy = policy;
-    }
-
-    /// The active retry/quarantine policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry_policy
     }
 
     /// The fault-schedule handle for `p`'s store, when fault injection
@@ -574,13 +564,8 @@ impl System {
     /// timing) on or off. On by default; the off path costs one branch
     /// per phase, which the bench suite's overhead microbench pins
     /// under its noise floor.
-    pub fn set_phase_timing(&mut self, on: bool) {
-        self.obs.set_timing(on);
-    }
-
-    /// Builder form of [`System::set_phase_timing`].
     pub fn with_phase_timing(mut self, on: bool) -> Self {
-        self.set_phase_timing(on);
+        self.obs.set_timing(on);
         self
     }
 
@@ -589,12 +574,6 @@ impl System {
     /// goal, the verdict, and the supporting certificate digests.
     pub fn enable_decision_journal(&mut self, sink: Arc<dyn EventSink>) {
         self.obs.journal = Journal::to_sink(sink);
-    }
-
-    /// Builder form of [`System::enable_decision_journal`].
-    pub fn with_decision_journal(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.enable_decision_journal(sink);
-        self
     }
 
     /// Flushes the decision journal's sink — a JSONL sink buffers, so
@@ -647,32 +626,20 @@ impl System {
         self.obs.publish_imbalance();
     }
 
-    /// Creates a system whose certificate stores are durable: each
-    /// principal registered afterwards opens (or creates) a segment log
-    /// under `dir`, replays it, and reconciles its workspace — active
+    /// Makes this system's certificate stores durable: each principal
+    /// registered afterwards opens (or creates) a segment log under
+    /// `dir`, replays it, and reconciles its workspace — active
     /// certificates re-assert their `export`/`says` facts without any
     /// signature re-verification, and previously revoked certificates
     /// stay rejected. Reopening the same directory with the same
     /// principals (same registration order) reproduces the pre-restart
-    /// state.
-    pub fn open_persistent(dir: impl AsRef<Path>) -> Result<System, SysError> {
-        System::new().persist_at(dir)
-    }
-
-    /// Builder form: makes this system's stores durable under `dir`
-    /// (see [`System::open_persistent`]). Must be called before
-    /// principals are registered.
+    /// state. Must be called before principals are registered.
     pub fn persist_at(mut self, dir: impl AsRef<Path>) -> Result<Self, SysError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| SysError::Persist(format!("creating {}: {e}", dir.display())))?;
         self.persist_dir = Some(dir);
         Ok(self)
-    }
-
-    /// Where durable stores live, if persistence is on.
-    pub fn persist_dir(&self) -> Option<&Path> {
-        self.persist_dir.as_deref()
     }
 
     /// Overrides the RSA modulus size (tests use 512 for speed; the
@@ -682,63 +649,34 @@ impl System {
         self
     }
 
-    /// Builder form of [`System::set_sync_policy`].
+    /// Sets when persistent stores fsync (see [`SyncPolicy`]).
     pub fn with_sync_policy(mut self, policy: SyncPolicy) -> Self {
         self.sync_policy = policy;
         self
     }
 
-    /// Sets when persistent stores fsync (see [`SyncPolicy`]). Safe to
-    /// change at any point: switching from `Batched` to `Eager` does
-    /// not itself sync — call [`System::flush`] first if the dirty
-    /// stores must land before the policy change takes effect.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.sync_policy = policy;
-    }
-
-    /// The current durability policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync_policy
-    }
-
-    /// Builder form: sets the segment-rotation budget (bytes) for
-    /// persistent stores registered afterwards — the active segment of
-    /// each store's log is sealed and a fresh one started once it
-    /// exceeds the budget. Defaults to the backend's 4 MiB.
+    /// Sets the segment-rotation budget (bytes) for persistent stores
+    /// registered afterwards — the active segment of each store's log
+    /// is sealed and a fresh one started once it exceeds the budget.
+    /// Defaults to the backend's 4 MiB.
     pub fn with_rotation_budget(mut self, bytes: u64) -> Self {
-        self.rotate_bytes = Some(bytes.max(1));
+        self.rotate_bytes = bytes.max(1);
         self
     }
 
-    /// Builder form of [`System::set_auto_compaction`].
+    /// Arms the auto-compaction trigger: every batched group commit
+    /// additionally compacts, on its shard worker, any store whose
+    /// dead-record bytes reached `dead_bytes`. Dead bytes are what a
+    /// compaction reclaims — records superseded by revocation, expiry,
+    /// or newer clock ticks.
     pub fn with_auto_compaction(mut self, dead_bytes: u64) -> Self {
-        self.set_auto_compaction(Some(dead_bytes));
-        self
-    }
-
-    /// Arms (or with `None` disarms) the auto-compaction trigger: every
-    /// batched group commit additionally compacts, on its shard worker,
-    /// any store whose dead-record bytes reached `dead_bytes`. Dead
-    /// bytes are what a compaction reclaims — records superseded by
-    /// revocation, expiry, or newer clock ticks.
-    pub fn set_auto_compaction(&mut self, dead_bytes: Option<u64>) {
-        self.auto_compact_dead_bytes = dead_bytes;
-    }
-
-    /// The auto-compaction threshold, if armed.
-    pub fn auto_compaction(&self) -> Option<u64> {
-        self.auto_compact_dead_bytes
-    }
-
-    /// Builder form of [`System::set_shards`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
+        self.auto_compact_dead_bytes = Some(dead_bytes);
         self
     }
 
     /// Sets how many pool workers [`System::run_to_quiescence`] uses.
     /// `shards > 1` creates (or resizes, by recreating) the persistent
-    /// [`WorkerPool`]: long-lived threads that run the local-fixpoint,
+    /// worker pool: long-lived threads that run the local-fixpoint,
     /// delivery-import and store-maintenance phases at per-principal
     /// task granularity. Tasks are split by greedy LPT over
     /// deterministic cost estimates, and idle workers always steal.
@@ -746,18 +684,13 @@ impl System {
     /// in registration order. Any worker count reaches the same
     /// quiescent state: results merge sequentially in registration
     /// order, so which worker ran a task is unobservable.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-        let wanted = if self.shards > 1 { self.shards } else { 0 };
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        let wanted = if shards > 1 { shards } else { 0 };
         let current = self.pool.as_ref().map_or(0, WorkerPool::workers);
         if wanted != current {
             self.pool = (wanted > 0).then(|| WorkerPool::new(wanted, Arc::new(run_pool_task)));
         }
-    }
-
-    /// The configured shard (pool worker) count.
-    pub fn shards(&self) -> usize {
-        self.shards
+        self
     }
 
     /// The pool's thread-liveness witness, for shutdown tests.
@@ -999,40 +932,24 @@ impl System {
             .fault_spec
             .as_ref()
             .map(|spec| FaultHandle::seeded(spec.for_store(name)));
-        let mut store = match (&self.persist_dir, &faults) {
-            (Some(dir), Some(handle)) => {
+        let registry = self.obs.registry();
+        let mut backend: Box<dyn StorageBackend> = match &self.persist_dir {
+            Some(dir) => {
                 let path = dir.join(format!("{name}.certlog"));
-                CertStore::open_with_obs_faults(
-                    path,
-                    self.vcache.clone(),
-                    self.rotate_bytes,
-                    self.obs.registry(),
-                    handle.clone(),
-                )
-                .map_err(SysError::Cert)?
+                let mut log = LogBackend::open_with_budget(path, self.rotate_bytes)
+                    .map_err(CertStoreError::from)?;
+                // Attached before replay, so the opening replay is measured.
+                log.attach_metrics(registry);
+                Box::new(log)
             }
-            (Some(dir), None) => {
-                let path = dir.join(format!("{name}.certlog"));
-                CertStore::open_with_obs(
-                    path,
-                    self.vcache.clone(),
-                    self.rotate_bytes,
-                    self.obs.registry(),
-                )
-                .map_err(SysError::Cert)?
-            }
-            (None, Some(handle)) => {
-                let mut store = CertStore::with_cache_faults(self.vcache.clone(), handle.clone());
-                handle.attach_metrics(self.obs.registry());
-                store.attach_obs(self.obs.registry());
-                store
-            }
-            (None, None) => {
-                let mut store = CertStore::with_cache(self.vcache.clone());
-                store.attach_obs(self.obs.registry());
-                store
-            }
+            None => Box::new(MemoryBackend::new()),
         };
+        if let Some(handle) = &faults {
+            handle.attach_metrics(registry);
+            backend = Box::new(FaultingBackend::new(backend, handle.clone()));
+        }
+        let mut store = CertStore::open_backend(backend, self.vcache.clone())?;
+        store.attach_obs(registry);
         // Replay reconciliation: every certificate the log shows as
         // still active re-introduces exactly the facts a live import
         // would have asserted (`export[me](issuer, R, S)` + `says`), so
@@ -1146,26 +1063,11 @@ impl System {
 
     // ---- static-analysis preflight -------------------------------------------
 
-    /// The lint configuration the preflight analyses run under.
-    pub fn lint_config(&self) -> &AnalyzerConfig {
-        &self.lint
-    }
-
-    /// Replaces the lint configuration.
-    pub fn set_lint_config(&mut self, config: AnalyzerConfig) {
-        self.lint = config;
-    }
-
-    /// Sets one lint's level (builder form).
+    /// Sets one lint's level, e.g. demoting a deny-level lint to `Warn`
+    /// for a program that is trusted by construction.
     pub fn with_lint_level(mut self, kind: lbtrust_analysis::DiagKind, level: LintLevel) -> Self {
         self.lint.set_level(kind, level);
         self
-    }
-
-    /// Sets one lint's level, e.g. demoting a deny-level lint to `Warn`
-    /// for a program that is trusted by construction.
-    pub fn set_lint_level(&mut self, kind: lbtrust_analysis::DiagKind, level: LintLevel) {
-        self.lint.set_level(kind, level);
     }
 
     /// Parses and analyzes `src` under the system's lint configuration,
@@ -1828,9 +1730,9 @@ impl System {
     /// handles answer against it lock-free while this system keeps
     /// mutating. Called automatically at every quiescent point of
     /// [`System::run_to_quiescence`]; callers streaming imports or
-    /// revocations outside the fixpoint (e.g. [`System::apply_revocation`]
-    /// via [`System::revoke_certificate`]) publish explicitly to make
-    /// those changes visible to readers.
+    /// revocations outside the fixpoint (e.g.
+    /// [`System::revoke_certificate`]) publish explicitly to make those
+    /// changes visible to readers.
     ///
     /// Publication also settles the decision cache: a window in which a
     /// principal changed *only* by incremental DRed retractions keeps
@@ -1928,37 +1830,32 @@ impl System {
         AuthzReader::new(self.authz_shared.clone())
     }
 
-    /// Retracts the workspace facts behind each retraction event in one
-    /// batched DRed pass per principal.
-    fn retract_cert_facts(&mut self, at: Principal, events: &[lbtrust_certstore::RetractionEvent]) {
-        // Every dying certificate poisons the cached decisions citing
-        // it, whether or not its facts were still asserted here.
-        let pub_state = self.authz_pub.entry(at).or_default();
-        pub_state.poisoned.extend(events.iter().map(|e| e.digest));
-        let mut batch: Vec<(Symbol, Tuple)> = Vec::new();
-        if let Some(my_facts) = self.cert_facts.get_mut(&at) {
-            for event in events {
-                if let Some(facts) = my_facts.remove(&event.digest) {
-                    batch.extend(facts);
-                }
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        let ws = self.workspaces.get_mut(&at).expect("registered");
-        self.stats.retractions += batch.len();
-        match ws.retract_facts(&batch) {
-            RetractOutcome::Incremental(_) => {
-                self.stats.dred_repairs += 1;
-                // One incremental repair = exactly one workspace epoch
-                // bump; the publish path matches these totals to tell
-                // "retraction-only" windows (precise cache
-                // invalidation) from arbitrary change (version bump).
-                self.authz_pub.entry(at).or_default().retraction_bumps += 1;
-            }
-            RetractOutcome::Deferred => self.stats.retraction_rebuilds += 1,
-            RetractOutcome::Noop => {}
+    /// Retracts the workspace facts behind `events` at a local
+    /// principal (local revoke, TTL expiry, re-admission ticks).
+    fn retract_cert_facts(&mut self, at: Principal, events: &[RetractionEvent]) {
+        let mut tally = RetractTally::default();
+        tally.retract(
+            self.workspaces.get_mut(&at).expect("registered"),
+            self.cert_facts.entry(at).or_default(),
+            events,
+        );
+        self.fold_retractions(at, tally);
+    }
+
+    /// Folds one principal's retraction tally into [`SystemStats`] and
+    /// its snapshot-publication bookkeeping.
+    fn fold_retractions(&mut self, at: Principal, tally: RetractTally) {
+        self.stats.retractions += tally.retractions;
+        self.stats.dred_repairs += tally.dred_repairs;
+        self.stats.retraction_rebuilds += tally.rebuilds;
+        if tally.dred_repairs > 0 || !tally.poisoned.is_empty() {
+            let pub_state = self.authz_pub.entry(at).or_default();
+            // One incremental repair = exactly one workspace epoch bump;
+            // the publish path matches these totals to tell
+            // "retraction-only" windows (precise cache invalidation)
+            // from arbitrary change (version bump).
+            pub_state.retraction_bumps += tally.dred_repairs as u64;
+            pub_state.poisoned.extend(tally.poisoned);
         }
     }
 
@@ -1970,7 +1867,7 @@ impl System {
     ///
     /// The local-fixpoint, delivery-import and store-commit phases each
     /// run as one batch of per-principal tasks. With
-    /// [`System::set_shards`] above 1 the batch goes to the worker
+    /// [`System::with_shards`] above 1 the batch goes to the worker
     /// pool (LPT over deterministic costs, stealing on); at 1 it runs
     /// inline in registration order. Either way results merge
     /// sequentially in registration order, and placement updates and
@@ -2378,12 +2275,24 @@ impl System {
                 self.stats.messages_rejected += 1;
                 continue;
             };
+            // Unknown receivers (and, for gossip traffic, unknown
+            // senders) count as rejections immediately, as do gossip
+            // frames while gossip is off.
+            let known = |p: &Principal| self.workspaces.contains_key(p);
+            let routable = match &packet {
+                WirePacket::Export(msg) => known(&msg.to),
+                WirePacket::Revoke(rev) => known(&rev.to),
+                WirePacket::RevGossip(rev) => gossip_on && known(&rev.to),
+                WirePacket::RevSummary(msg) => gossip_on && known(&msg.to) && known(&msg.from),
+                WirePacket::RevPull(msg) => gossip_on && known(&msg.to) && known(&msg.from),
+            };
+            if !routable {
+                self.stats.messages_rejected += 1;
+                continue;
+            }
+            let relayed = matches!(packet, WirePacket::RevGossip(_));
             match packet {
                 WirePacket::Export(msg) => {
-                    if !self.workspaces.contains_key(&msg.to) {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
                     inbox.entry(msg.to).or_default().push(vec![
                         Value::Sym(msg.to),
                         Value::Sym(msg.from),
@@ -2391,62 +2300,27 @@ impl System {
                         Value::bytes(&msg.auth),
                     ]);
                 }
-                // A revocation notice: applied to the receiver's store
-                // by its destination shard below. Unknown receivers
-                // count as rejections immediately, as do gossip frames
-                // while gossip is off.
-                WirePacket::Revoke(rev) => {
-                    if !self.workspaces.contains_key(&rev.to) {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    revocations.entry(rev.to).or_default().push((
-                        Revocation {
-                            issuer: rev.from,
-                            target: CertDigest(rev.digest),
-                            signature: rev.auth,
-                        },
-                        false,
-                    ));
-                }
-                WirePacket::RevGossip(rev) => {
-                    if !gossip_on || !self.workspaces.contains_key(&rev.to) {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    revocations.entry(rev.to).or_default().push((
-                        Revocation {
-                            issuer: rev.from,
-                            target: CertDigest(rev.digest),
-                            signature: rev.auth,
-                        },
-                        true,
-                    ));
+                // A revocation notice (eager or gossip-relayed): applied
+                // to the receiver's store by its destination shard below.
+                WirePacket::Revoke(rev) | WirePacket::RevGossip(rev) => {
+                    let revocation = Revocation {
+                        issuer: rev.from,
+                        target: CertDigest(rev.digest),
+                        signature: rev.auth,
+                    };
+                    revocations
+                        .entry(rev.to)
+                        .or_default()
+                        .push((revocation, relayed));
                 }
                 WirePacket::RevSummary(msg) => {
-                    if !gossip_on
-                        || !self.workspaces.contains_key(&msg.to)
-                        || !self.workspaces.contains_key(&msg.from)
-                    {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
                     summaries.entry(msg.to).or_default().push((
                         msg.from,
                         msg.issuer,
                         msg.fingerprint,
                     ));
                 }
-                WirePacket::RevPull(msg) => {
-                    if !gossip_on
-                        || !self.workspaces.contains_key(&msg.to)
-                        || !self.workspaces.contains_key(&msg.from)
-                    {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    pulls.push((msg.to, msg.from, msg.issuer));
-                }
+                WirePacket::RevPull(msg) => pulls.push((msg.to, msg.from, msg.issuer)),
             }
         }
         let destinations: Vec<Principal> = order
@@ -2553,16 +2427,7 @@ impl System {
         self.stats.messages_accepted += outcome.accepted;
         self.stats.messages_rejected += outcome.rejected;
         self.stats.revocations += outcome.revocations;
-        self.stats.retractions += outcome.retractions;
-        self.stats.dred_repairs += outcome.dred_repairs;
-        self.stats.retraction_rebuilds += outcome.retraction_rebuilds;
-        if outcome.dred_repairs > 0 || !outcome.poisoned.is_empty() {
-            let pub_state = self.authz_pub.entry(at).or_default();
-            // `dred_repairs` counts exactly the incremental retraction
-            // repairs, each of which bumped the workspace epoch once.
-            pub_state.retraction_bumps += outcome.dred_repairs as u64;
-            pub_state.poisoned.extend(outcome.poisoned);
-        }
+        self.fold_retractions(at, outcome.retract);
     }
 
     /// Syncs every dirty store once — the group-commit sweep. Shards
@@ -2681,6 +2546,52 @@ impl System {
     }
 }
 
+/// What retracting dying certificates did to one principal's
+/// workspace, folded into [`SystemStats`] by
+/// [`System::fold_retractions`].
+#[derive(Default)]
+struct RetractTally {
+    /// Certificate-backed base facts retracted.
+    retractions: usize,
+    /// Retraction batches DRed repaired incrementally.
+    dred_repairs: usize,
+    /// Retraction batches that forced a rebuild on the next evaluation.
+    rebuilds: usize,
+    /// Digests of the dead certificates — fed to the decision cache's
+    /// poisoned-entry invalidation at the next snapshot publish.
+    poisoned: Vec<CertDigest>,
+}
+
+impl RetractTally {
+    /// Retracts, in one batched DRed pass, the workspace facts each
+    /// dying certificate in `events` introduced, and counts the result.
+    /// Every death poisons the cached decisions citing it, whether or
+    /// not its facts were still asserted here.
+    fn retract(
+        &mut self,
+        ws: &mut Workspace,
+        facts: &mut CertFactIndex,
+        events: &[RetractionEvent],
+    ) {
+        let mut batch: Vec<(Symbol, Tuple)> = Vec::new();
+        for event in events {
+            self.poisoned.push(event.digest);
+            if let Some(fs) = facts.remove(&event.digest) {
+                batch.extend(fs);
+            }
+        }
+        if batch.is_empty() {
+            return;
+        }
+        self.retractions += batch.len();
+        match ws.retract_facts(&batch) {
+            RetractOutcome::Incremental(_) => self.dred_repairs += 1,
+            RetractOutcome::Deferred => self.rebuilds += 1,
+            RetractOutcome::Noop => {}
+        }
+    }
+}
+
 /// Counters one delivery shard hands back for the sequential merge
 /// into [`SystemStats`].
 #[derive(Default)]
@@ -2688,13 +2599,7 @@ struct DeliveryOutcome {
     accepted: usize,
     rejected: usize,
     revocations: usize,
-    retractions: usize,
-    dred_repairs: usize,
-    retraction_rebuilds: usize,
-    /// Digests of certificates that died at this destination during
-    /// the delivery — fed to the decision cache's poisoned-entry
-    /// invalidation at the next snapshot publish.
-    poisoned: Vec<CertDigest>,
+    retract: RetractTally,
 }
 
 /// Applies one destination's routed packets: revocations first (store
@@ -2748,21 +2653,7 @@ fn process_destination(job: DeliveryJob) -> PoolDone {
                     continue;
                 }
                 out.revocations += 1;
-                let mut batch: Vec<(Symbol, Tuple)> = Vec::new();
-                for event in &outcome.events {
-                    out.poisoned.push(event.digest);
-                    if let Some(fs) = facts.remove(&event.digest) {
-                        batch.extend(fs);
-                    }
-                }
-                if !batch.is_empty() {
-                    out.retractions += batch.len();
-                    match ws.retract_facts(&batch) {
-                        RetractOutcome::Incremental(_) => out.dred_repairs += 1,
-                        RetractOutcome::Deferred => out.retraction_rebuilds += 1,
-                        RetractOutcome::Noop => {}
-                    }
-                }
+                out.retract.retract(&mut ws, &mut facts, &outcome.events);
             }
             Err(_) => out.rejected += 1,
         }
@@ -3311,7 +3202,8 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut sys = System::open_persistent(&dir)
+        let mut sys = System::new()
+            .persist_at(&dir)
             .unwrap()
             .with_rsa_bits(512)
             .with_sync_policy(SyncPolicy::Batched);
@@ -3447,11 +3339,11 @@ mod tests {
 
     #[test]
     fn resizing_shards_replaces_and_joins_the_old_pool() {
-        let mut sys = System::new().with_rsa_bits(512).with_shards(3);
+        let sys = System::new().with_rsa_bits(512).with_shards(3);
         let old = sys.pool_liveness().expect("pool exists at shards=3");
         // 3 worker clones + the pool's own + this one.
         assert_eq!(std::sync::Arc::strong_count(&old), 5);
-        sys.set_shards(1); // back to the inline serial engine
+        let sys = sys.with_shards(1); // back to the inline serial engine
         assert_eq!(std::sync::Arc::strong_count(&old), 1, "old workers joined");
         assert!(sys.pool_liveness().is_none(), "shards=1 keeps no pool");
     }

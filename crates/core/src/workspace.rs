@@ -164,7 +164,7 @@ pub struct Workspace {
 /// *removed* from the middle (certificate retraction), so the full
 /// vector is captured.
 #[derive(Clone)]
-pub struct Snapshot {
+struct Snapshot {
     db: Database,
     rules_len: usize,
     constraints_len: usize,
@@ -629,7 +629,7 @@ impl Workspace {
     // ---- evaluation ---------------------------------------------------------
 
     /// Takes a rollback snapshot.
-    pub fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         Snapshot {
             db: self.db.clone(),
             rules_len: self.rules.len(),
@@ -643,7 +643,7 @@ impl Workspace {
     }
 
     /// Restores a snapshot taken earlier.
-    pub fn restore(&mut self, snap: Snapshot) {
+    fn restore(&mut self, snap: Snapshot) {
         self.db = snap.db;
         self.rules.truncate(snap.rules_len);
         self.constraints.truncate(snap.constraints_len);
@@ -655,22 +655,6 @@ impl Workspace {
         // A rollback changes the database; the epoch stays monotone (it
         // counts changes, it does not identify states).
         self.epoch += 1;
-    }
-
-    /// Runs `f` transactionally: on error the workspace is rolled back to
-    /// its state before the call.
-    pub fn transaction<T>(
-        &mut self,
-        f: impl FnOnce(&mut Workspace) -> Result<T, WsError>,
-    ) -> Result<T, WsError> {
-        let snap = self.snapshot();
-        match f(self) {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.restore(snap);
-                Err(e)
-            }
-        }
     }
 
     /// Whether any installed rule uses negation or aggregation (in which
@@ -1314,20 +1298,5 @@ mod tests {
         assert!(proof.contains("owns(alice,f1)"), "{proof}");
         // Absent facts have no explanation.
         assert!(ws.explain("grant(bob,f1)").unwrap().is_none());
-    }
-
-    #[test]
-    fn transaction_rolls_back_on_error() {
-        let mut ws = Workspace::new("w");
-        ws.load("p", "q(X) <- p(X).").unwrap();
-        ws.assert_src("p(a).").unwrap();
-        ws.evaluate().unwrap();
-        let result: Result<(), WsError> = ws.transaction(|w| {
-            w.assert_src("p(b).").unwrap();
-            Err(WsError::MetaDivergence { stages: 0 })
-        });
-        assert!(result.is_err());
-        ws.evaluate().unwrap();
-        assert!(!ws.holds(sym("q"), &vals(&["b"])));
     }
 }

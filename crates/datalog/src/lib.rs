@@ -55,6 +55,6 @@ pub use db::{Database, Relation, Tuple};
 pub use eval::{Engine, EvalError, EvalStats};
 pub use intern::Symbol;
 pub use lexer::Span;
-pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
+pub use parser::{parse_atom, parse_program, parse_rule, ParseError, MAX_NESTING};
 pub use unify::{Binding, Bindings};
 pub use value::Value;

@@ -1,4 +1,4 @@
-//! Magic-sets rewriting (Bancilhon et al., cited as [6] in the paper).
+//! Magic-sets rewriting (Bancilhon et al., cited as \[6\] in the paper).
 //!
 //! §7 of the paper: "traditional database optimizations such as magic-sets
 //! can potentially bridge the top-down evaluation approach used in access

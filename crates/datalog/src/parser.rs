@@ -78,6 +78,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply `!`, parenthesized groups, `[| … |]` quotes and chained
+/// arithmetic operators may nest, all counted together. Parsing
+/// recurses once per level (an operator chain instead builds a tree one
+/// level deeper per operator), and so do the later walks over the
+/// result (printing, substitution, content hashing), so unbounded
+/// nesting would let one small hostile wire frame overflow the
+/// receiver's stack. 64 levels leave room for those walks on a 2 MiB
+/// thread; deeper input is a [`ParseError`].
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a full program (rules, facts, constraints).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     Parser::new(src)?.program()
@@ -116,6 +126,9 @@ struct Parser {
     pos: usize,
     gensym: u32,
     quote_depth: usize,
+    /// Current nesting of the recursive productions (see
+    /// [`MAX_NESTING`]).
+    nesting: usize,
     /// Body items hoisted from argument-position arithmetic, appended to
     /// the enclosing top-level statement.
     hoisted: Vec<BodyItem>,
@@ -133,6 +146,7 @@ impl Parser {
             pos: 0,
             gensym: 0,
             quote_depth: 0,
+            nesting: 0,
             hoisted: Vec::new(),
         })
     }
@@ -195,6 +209,27 @@ impl Parser {
             line: span.line,
             col: span.col,
         }
+    }
+
+    /// Descends one nesting level, refusing input nested past
+    /// [`MAX_NESTING`] at the token that would exceed the bound.
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        if self.nesting == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.nesting += 1;
+        Ok(())
+    }
+
+    /// Runs one recursive production a nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        production: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deepen()?;
+        let result = production(self);
+        self.nesting -= 1;
+        result
     }
 
     fn fresh_var(&mut self) -> Symbol {
@@ -405,15 +440,19 @@ impl Parser {
     }
 
     fn unary_formula(&mut self) -> Result<Formula, ParseError> {
-        if self.eat(&Token::Bang) {
-            let inner = self.unary_formula()?;
-            return Ok(Formula::Not(Box::new(inner)));
+        if self.peek() == Some(&Token::Bang) {
+            return self.nested(|p| {
+                p.bump();
+                Ok(Formula::Not(Box::new(p.unary_formula()?)))
+            });
         }
         if self.peek() == Some(&Token::LParen) && self.starts_formula_group() {
-            self.bump();
-            let inner = self.formula()?;
-            self.expect(&Token::RParen)?;
-            return Ok(inner);
+            return self.nested(|p| {
+                p.bump();
+                let inner = p.formula()?;
+                p.expect(&Token::RParen)?;
+                Ok(inner)
+            });
         }
         Ok(Formula::Item(self.body_item()?))
     }
@@ -602,6 +641,9 @@ impl Parser {
     // ---- expressions --------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        // Each chained operator nests the (left-leaning) tree one level
+        // deeper; errors abandon the parse, so only success restores.
+        let outer = self.nesting;
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -609,14 +651,17 @@ impl Parser {
                 Some(Token::Minus) => ArithOp::Sub,
                 _ => break,
             };
+            self.deepen()?;
             self.bump();
             let rhs = self.mul_expr()?;
             lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
         }
+        self.nesting = outer;
         Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.nesting;
         let mut lhs = self.operand()?;
         loop {
             let op = match self.peek() {
@@ -629,21 +674,23 @@ impl Parser {
                 Some(Token::Percent) => ArithOp::Mod,
                 _ => break,
             };
+            self.deepen()?;
             self.bump();
             let rhs = self.operand()?;
             lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
         }
+        self.nesting = outer;
         Ok(lhs)
     }
 
     fn operand(&mut self) -> Result<Expr, ParseError> {
         match self.peek().cloned() {
-            Some(Token::LParen) => {
-                self.bump();
-                let inner = self.expr()?;
-                self.expect(&Token::RParen)?;
+            Some(Token::LParen) => self.nested(|p| {
+                p.bump();
+                let inner = p.expr()?;
+                p.expect(&Token::RParen)?;
                 Ok(inner)
-            }
+            }),
             Some(Token::Minus) => {
                 self.bump();
                 match self.bump() {
@@ -705,11 +752,13 @@ impl Parser {
     /// Parses `[| heads ('<-' body)? '.'? |]` into a rule. The trailing
     /// dot is optional, matching the paper's usage for quoted facts.
     fn quote(&mut self) -> Result<Rule, ParseError> {
-        self.expect(&Token::LQuote)?;
-        self.quote_depth += 1;
-        let result = self.quote_body();
-        self.quote_depth -= 1;
-        result
+        self.nested(|p| {
+            p.expect(&Token::LQuote)?;
+            p.quote_depth += 1;
+            let result = p.quote_body();
+            p.quote_depth -= 1;
+            result
+        })
     }
 
     fn quote_body(&mut self) -> Result<Rule, ParseError> {
@@ -991,5 +1040,64 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.rules.len(), 2);
+    }
+
+    /// Runs `f` on a thread with a worker pool's 2 MiB stack.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// One rule per recursive production, nested `depth` levels deep:
+    /// negation, formula grouping, and quotation.
+    fn nested_inputs(depth: usize) -> [String; 3] {
+        [
+            format!("p() <- {}q().", "!".repeat(depth)),
+            format!("p() <- {}q(){}.", "(".repeat(depth), ")".repeat(depth)),
+            format!("{}q(x){}.", "q([| ".repeat(depth), " |])".repeat(depth)),
+        ]
+    }
+
+    /// A comparison against a chain of `ops` additions, whose tree is
+    /// `ops` levels deep.
+    fn operator_chain(ops: usize) -> String {
+        format!("p(X) <- q(X), X = {}1.", "1 + ".repeat(ops))
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses_and_round_trips() {
+        on_small_stack(|| {
+            for src in nested_inputs(MAX_NESTING) {
+                let rule = parse_rule(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+                let printed = rule.to_string();
+                let again = parse_rule(&printed).unwrap_or_else(|e| panic!("{printed}: {e}"));
+                assert_eq!(again.to_string(), printed);
+            }
+            // The printer parenthesizes every operator, so an operator
+            // chain round-trips one level below the bound.
+            assert!(parse_rule(&operator_chain(MAX_NESTING)).is_ok());
+            let rule = parse_rule(&operator_chain(MAX_NESTING - 1)).unwrap();
+            assert_eq!(parse_rule(&rule.to_string()).unwrap(), rule);
+        });
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        on_small_stack(|| {
+            for depth in [MAX_NESTING + 1, 100_000] {
+                let [bangs, parens, quotes] = nested_inputs(depth);
+                for src in [bangs, parens, quotes, operator_chain(depth)] {
+                    let err = parse_rule(&src).expect_err("nested past the bound");
+                    assert!(err.message.contains("nesting"), "{err}");
+                }
+            }
+        });
+        // The error points at the first `!` past the bound.
+        let err = parse_rule(&nested_inputs(MAX_NESTING + 1)[0]).unwrap_err();
+        assert_eq!((err.line, err.col), (1, "p() <- ".len() + MAX_NESTING + 1));
     }
 }

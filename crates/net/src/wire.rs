@@ -748,4 +748,37 @@ mod tests {
         // A non-export fact is rejected.
         assert!(decode(b"says(a,b,[| p. |]).").is_err());
     }
+
+    /// A peer's frame whose quoted rule nests past the parser's bound
+    /// is refused with an error instead of overflowing the receiver's
+    /// stack (run on a pool worker's 2 MiB stack).
+    #[test]
+    fn deeply_nested_export_frame_is_refused() {
+        use lbtrust_datalog::MAX_NESTING;
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let frame = String::from_utf8(encode(&msg("p(x).", b"sig"))).unwrap();
+                assert!(frame.contains("p(x)."), "{frame}");
+                let with_rule = |rule: String| frame.replacen("p(x).", &rule, 1).into_bytes();
+                // The frame's own quote is one level, so a rule nested
+                // one below the bound still decodes.
+                let depth = MAX_NESTING - 1;
+                let ok = format!("{}p(x){}.", "q([| ".repeat(depth), " |])".repeat(depth));
+                assert!(decode_packet(&with_rule(ok)).is_ok());
+                for depth in [MAX_NESTING, 100_000] {
+                    for rule in [
+                        format!("p(x) <- {}q(x).", "!".repeat(depth)),
+                        format!("p(x) <- {}q(x){}.", "(".repeat(depth), ")".repeat(depth)),
+                        format!("{}p(x){}.", "q([| ".repeat(depth), " |])".repeat(depth)),
+                        format!("p(X) <- q(X), X = {}1.", "1 + ".repeat(depth)),
+                    ] {
+                        assert!(decode_packet(&with_rule(rule)).is_err());
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

@@ -5,7 +5,7 @@ use crate::test_runner::TestRng;
 use rand::Rng;
 use std::ops::{Range, RangeInclusive};
 
-/// Length specifications accepted by [`vec`].
+/// Length specifications accepted by [`vec()`].
 pub trait SizeRange {
     /// Draws a length.
     fn pick(&self, rng: &mut TestRng) -> usize;

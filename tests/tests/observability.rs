@@ -88,7 +88,8 @@ fn registry_reconciles_with_stats_ledgers() {
 #[test]
 fn store_sync_counter_reconciles_with_fsyncs() {
     let dir = tmp_dir("syncs");
-    let mut sys = System::open_persistent(&dir)
+    let mut sys = System::new()
+        .persist_at(&dir)
         .unwrap()
         .with_rsa_bits(512)
         .with_sync_policy(SyncPolicy::Batched);
@@ -163,8 +164,7 @@ fn phase_timing_records_per_phase_and_per_shard() {
         assert!(count_of(name) > 0, "no samples recorded for {name}");
     }
 
-    let mut quiet = fanout_system(2, 4);
-    quiet.set_phase_timing(false);
+    let mut quiet = fanout_system(2, 4).with_phase_timing(false);
     let before = quiet.obs_registry().timings();
     quiet
         .workspace_mut(Principal::from("hub"))

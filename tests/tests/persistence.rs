@@ -21,7 +21,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// Builds a persistent two-principal system with bob's access policy.
 fn persistent_system(dir: &PathBuf) -> (System, lbtrust::Principal, lbtrust::Principal) {
-    let mut sys = System::open_persistent(dir).unwrap().with_rsa_bits(512);
+    let mut sys = System::new().persist_at(dir).unwrap().with_rsa_bits(512);
     let alice = sys.add_principal("alice", "n1").unwrap();
     let bob = sys.add_principal("bob", "n2").unwrap();
     sys.workspace_mut(bob)
@@ -215,7 +215,8 @@ fn batched_crash_replays_to_last_synced_prefix() {
     let dir = fresh_dir("batched-crash");
 
     // ---- first life, group-commit durability.
-    let mut sys = System::open_persistent(&dir)
+    let mut sys = System::new()
+        .persist_at(&dir)
         .unwrap()
         .with_rsa_bits(512)
         .with_sync_policy(SyncPolicy::Batched);
@@ -266,7 +267,8 @@ fn batched_crash_replays_to_last_synced_prefix() {
     // ---- second life: replay recovers the last synced prefix — the
     // certificate is live again (its revocation never became durable)
     // and the clock never advanced.
-    let mut sys2 = System::open_persistent(&dir)
+    let mut sys2 = System::new()
+        .persist_at(&dir)
         .unwrap()
         .with_rsa_bits(512)
         .with_sync_policy(SyncPolicy::Batched);
@@ -305,7 +307,7 @@ fn batched_crash_replays_to_last_synced_prefix() {
     for (path, bytes) in &synced2 {
         std::fs::write(path, bytes).unwrap();
     }
-    let mut sys3 = System::open_persistent(&dir).unwrap().with_rsa_bits(512);
+    let mut sys3 = System::new().persist_at(&dir).unwrap().with_rsa_bits(512);
     let alice3 = sys3.add_principal("alice", "n1").unwrap();
     let bob3 = sys3.add_principal("bob", "n2").unwrap();
     sys3.run_to_quiescence(16).unwrap();
@@ -327,7 +329,8 @@ fn batched_policy_cuts_fsyncs_at_least_10x_per_quiescence_run() {
     // quiescence step.
     fn run(policy: SyncPolicy, tag: &str) -> (u64, u64) {
         let dir = fresh_dir(tag);
-        let mut sys = System::open_persistent(&dir)
+        let mut sys = System::new()
+            .persist_at(&dir)
             .unwrap()
             .with_rsa_bits(512)
             .with_sync_policy(policy);
@@ -495,7 +498,8 @@ fn compaction_reclaims_dead_history_and_bounds_replay() {
 #[test]
 fn auto_compaction_triggers_during_batched_group_commit() {
     let dir = fresh_dir("autocompact");
-    let mut sys = System::open_persistent(&dir)
+    let mut sys = System::new()
+        .persist_at(&dir)
         .unwrap()
         .with_rsa_bits(512)
         .with_sync_policy(SyncPolicy::Batched)
@@ -527,7 +531,7 @@ fn auto_compaction_triggers_during_batched_group_commit() {
     drop(sys);
     // The compacted deployment reopens correctly: everything revoked,
     // nothing derivable, rejection durable.
-    let mut sys2 = System::open_persistent(&dir).unwrap().with_rsa_bits(512);
+    let mut sys2 = System::new().persist_at(&dir).unwrap().with_rsa_bits(512);
     sys2.add_principal("alice", "n1").unwrap();
     let bob2 = sys2.add_principal("bob", "n2").unwrap();
     assert_eq!(sys2.cert_store(bob2).unwrap().active_len(), 0);
@@ -617,5 +621,52 @@ fn warm_reopen_at_least_5x_faster_than_cold_import() {
         ratio >= 5.0,
         "warm-cache reopen must be ≥ 5x faster than cold import (best ratio {ratio:.1}x)"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The durable store with fault injection armed: a fault-wrapped
+/// segment log. A synced import survives a reopen, a torn one does
+/// not, and the first life's registry carries both the log's
+/// `storelog.*` timings and the injected-fault counter.
+#[test]
+fn torn_write_on_persistent_faulted_store_loses_only_the_torn_import() {
+    use lbtrust::certstore::{Fault, FaultConfig};
+    let dir = fresh_dir("torn");
+    let mut sys = System::new()
+        .with_storage_faults(FaultConfig::default())
+        .persist_at(&dir)
+        .unwrap()
+        .with_rsa_bits(512);
+    let alice = sys.add_principal("alice", "n1").unwrap();
+    let bob = sys.add_principal("bob", "n2").unwrap();
+    let synced = sys
+        .issue_certificate(alice, "good(carol).", &[], None)
+        .unwrap();
+    let synced_d = synced.digest();
+    sys.import_certificates(bob, vec![synced]).unwrap();
+    sys.fault_handle(bob)
+        .expect("faults armed")
+        .inject(Fault::TornWrite { keep_bytes: 3 });
+    let torn = sys
+        .issue_certificate(alice, "good(dave).", &[], None)
+        .unwrap();
+    let torn_d = torn.digest();
+    // The torn append acks, so the import itself succeeds.
+    sys.import_certificates(bob, vec![torn]).unwrap();
+
+    let snap = sys.obs_registry().snapshot();
+    for name in ["storelog.replay_ns", "storelog.sync_ns"] {
+        let samples = snap.histogram(name).map_or(0, |h| h.count);
+        assert!(samples > 0, "no {name} samples from the fault-wrapped log");
+    }
+    assert_eq!(snap.counter("fault.injected.torn"), Some(1));
+    drop(sys);
+
+    let mut reopened = System::new().persist_at(&dir).unwrap().with_rsa_bits(512);
+    reopened.add_principal("alice", "n1").unwrap();
+    let bob = reopened.add_principal("bob", "n2").unwrap();
+    let store = reopened.cert_store(bob).unwrap();
+    assert!(store.get(&synced_d).is_some(), "synced import must replay");
+    assert!(store.get(&torn_d).is_none(), "torn import must be absent");
     let _ = std::fs::remove_dir_all(&dir);
 }
